@@ -20,13 +20,11 @@ from .bpe import BpeVocab, decode, encode, load_vocab, save_vocab, train_bpe
 from .classify import (
     ExternalModelClient,
     ExternalProtocolError,
-    PredictorHandle,
     PriorModel,
     TokenStatsModel,
     fit_prior,
     fit_token_stats,
     load_model,
-    predict_external,
     predict_prior,
     predict_prior_sequence,
     predict_token_stats,
@@ -96,7 +94,6 @@ from .windows import (
     EMPTY,
     WindowInstance,
     WindowSpec,
-    centered_context,
     read_windows,
     rebalance,
     scan_windows,

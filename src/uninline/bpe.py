@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .jsonl import atomic_write_text
+from .jsonl import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -67,10 +67,6 @@ class BpeVocab:
         for a, b in self.merges:
             table.append(table[a] + table[b])
         return table
-
-    @property
-    def token_to_id(self) -> dict[str, int]:
-        return {_escape(tok): i for i, tok in enumerate(self.token_bytes())}
 
     def merge_ranks(self) -> dict[tuple[int, int], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
@@ -168,7 +164,7 @@ def save_vocab(path: str | Path, vocab: BpeVocab) -> None:
         lines.append(f"{rank}\t{a}\t{b}")
     for tid, token in enumerate(vocab.token_bytes()):
         lines.append(f"{tid}\t{_escape(token)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_vocab(path: str | Path) -> BpeVocab:

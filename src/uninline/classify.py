@@ -39,27 +39,13 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .bpe import BpeVocab, encode
-from .jsonl import atomic_write_text
+from .jsonl import atomic_write
 from .windows import EMPTY, WindowInstance
 
 log = logging.getLogger(__name__)
 
 PROTOCOL_NAME = "uninline-external-labels"
 PROTOCOL_VERSION = 1
-
-KINDS = ("prior", "token_stats", "external")
-
-
-@dataclass(frozen=True)
-class PredictorHandle:
-    """Names one predictor kind plus its kind-specific configuration."""
-
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown predictor kind: {self.kind!r}")
 
 
 def _label_order(labels: Iterable[str]) -> tuple[str, ...]:
@@ -250,12 +236,6 @@ class ExternalModelClient:
         return labels
 
 
-def predict_external(
-    endpoint: ExternalModelClient, windows: Sequence[WindowInstance]
-) -> list[str]:
-    return endpoint.predict(windows)
-
-
 @contextlib.contextmanager
 def spawn_external(
     argv: Sequence[str],
@@ -297,7 +277,7 @@ def save_model(path: str | Path, model: PriorModel | TokenStatsModel) -> None:
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    atomic_write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path, vocab: BpeVocab | None = None) -> PriorModel | TokenStatsModel:

@@ -25,13 +25,7 @@ from typing import Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
-from .jsonl import (
-    append_jsonl,
-    atomic_write_bytes,
-    atomic_write_text,
-    read_jsonl,
-    write_jsonl,
-)
+from .jsonl import append_jsonl, atomic_write, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -78,12 +72,8 @@ def _record_run(command: str, args: argparse.Namespace, inputs: Sequence[str | P
     append_jsonl(root / MANIFEST_NAME, record)
 
 
-def _load_targets(path: str) -> corpus.TargetFunctionSet:
-    return corpus.load_targets(path)
-
-
 def _cmd_inject(args) -> int:
-    targets = _load_targets(args.targets)
+    targets = corpus.load_targets(args.targets)
     outputs = []
     for src_path in args.sources:
         content = Path(src_path).read_bytes()
@@ -98,9 +88,9 @@ def _cmd_inject(args) -> int:
         if args.out_dir:
             out_path = Path(args.out_dir) / out_path.name
             out_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(out_path, instrumented.content)
+        atomic_write(out_path, instrumented.content)
         plan_path = out_path.with_name(out_path.name.replace(".marked.c", ".markplan.json"))
-        atomic_write_text(plan_path, json.dumps(plan.as_json(), indent=1, sort_keys=True) + "\n")
+        atomic_write(plan_path, json.dumps(plan.as_json(), indent=1, sort_keys=True) + "\n")
         outputs += [out_path, plan_path]
         print(f"{src_path}: {len(plan.assignments)} call sites marked -> {out_path}")
     _record_run("inject", args, [args.targets, *args.sources], outputs)
@@ -108,7 +98,7 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_reconcile(args) -> int:
-    targets = _load_targets(args.targets)
+    targets = corpus.load_targets(args.targets)
     records = sorted(corpus.read_functions(args.functions), key=lambda r: r.id)
     labeled = [markers.reconcile_function(rec, targets) for rec in records]
     corpus.write_functions(args.out, labeled)
@@ -225,7 +215,7 @@ def _cmd_predict(args) -> int:
         if not args.vocab:
             raise ValueError("--external requires --vocab for request tokenization")
         vocab = bpe.load_vocab(args.vocab)
-        known = _load_targets(args.targets).name_set if args.targets else None
+        known = corpus.load_targets(args.targets).name_set if args.targets else None
         labels: list[str] = []
         with classify.spawn_external(shlex.split(args.external), vocab, known) as client:
             for _, ws in groups:
@@ -318,7 +308,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    targets = _load_targets(args.targets)
+    targets = corpus.load_targets(args.targets)
     per_name = {}
     for row in read_jsonl(args.per_name):
         name = row["name"]
@@ -343,9 +333,7 @@ def _cmd_correlate(args) -> int:
     print(f"frequency vs f1:        {fmt(report.r_f1)}")
     outputs = []
     if args.report:
-        atomic_write_text(
-            args.report, json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n"
-        )
+        atomic_write(args.report, json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n")
         outputs.append(args.report)
     _record_run("correlate", args, [args.per_name, args.targets], outputs)
     return 0

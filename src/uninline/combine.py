@@ -87,11 +87,16 @@ class FunctionRecovery:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunctionRecovery":
+        counts = obj["counts"]
+        if not isinstance(counts, dict):
+            raise ValueError(f"field 'counts' must be an object, not {type(counts).__name__}")
+        for name, count in counts.items():
+            # bool is an int subclass; "2", 1.7 and true are all refused
+            if type(count) is not int:
+                raise ValueError(f"field 'counts': {name!r} has a non-integer count {count!r}")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
-            counts=RecoveryMultiset(
-                {str(k): int(v) for k, v in obj["counts"].items()}
-            ),
+            counts=RecoveryMultiset(counts),
             optlevel=obj.get("optlevel"),
         )
 
@@ -113,23 +118,19 @@ def combine_recoveries(
     tags are taken from whichever side has one, and a disagreement
     keeps the model side's tag and logs.
     """
-    by_id: dict[FunctionId, FunctionRecovery] = {}
-    order: list[FunctionId] = []
-    for rec in model:
-        if rec.func_id in by_id:
-            raise ValueError(f"duplicate function id in model records: {rec.func_id}")
-        by_id[rec.func_id] = rec
-        order.append(rec.func_id)
-    seen_decomp = set()
     merged: dict[FunctionId, FunctionRecovery] = {}
+    for rec in model:
+        if rec.func_id in merged:
+            raise ValueError(f"duplicate function id in model records: {rec.func_id}")
+        merged[rec.func_id] = rec
+    seen_decomp = set()
     for rec in decompiler:
         if rec.func_id in seen_decomp:
             raise ValueError(f"duplicate function id in decompiler records: {rec.func_id}")
         seen_decomp.add(rec.func_id)
-        left = by_id.get(rec.func_id)
+        left = merged.get(rec.func_id)
         if left is None:
             merged[rec.func_id] = rec
-            order.append(rec.func_id)
             continue
         optlevel = left.optlevel if left.optlevel is not None else rec.optlevel
         if None not in (left.optlevel, rec.optlevel) and left.optlevel != rec.optlevel:
@@ -137,9 +138,8 @@ def combine_recoveries(
                 "%s: optimization tags disagree (%s vs %s); keeping %s",
                 rec.func_id, left.optlevel, rec.optlevel, left.optlevel,
             )
+        # replacing a key keeps its place, so model ids stay first, in model order
         merged[rec.func_id] = FunctionRecovery(
             rec.func_id, combine(left.counts, rec.counts), optlevel
         )
-    for fid, rec in by_id.items():
-        merged.setdefault(fid, rec)
-    return [merged[fid] for fid in order]
+    return list(merged.values())

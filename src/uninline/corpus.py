@@ -124,21 +124,38 @@ class DecompiledFunction:
         return Counter(name for name, _ in self.true_labels)
 
     def as_json(self) -> dict:
-        return {
+        obj = {
             "id": self.id.as_json(),
             "lines": list(self.lines),
             "true_labels": [[name, anchor] for name, anchor in self.true_labels],
             "recovered": list(self.recovered),
         }
+        if self.truncated:
+            obj["truncated"] = True
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompiledFunction":
+        lines = _list_field(obj, "lines")
+        if not all(isinstance(line, str) for line in lines):
+            raise ValueError("field 'lines' must hold only strings")
+        truncated = obj.get("truncated", False)
+        if not isinstance(truncated, bool):
+            raise ValueError("field 'truncated' must be true or false")
         return cls(
             id=FunctionId.from_json(obj["id"]),
-            lines=tuple(obj["lines"]),
-            true_labels=tuple((str(n), int(a)) for n, a in obj["true_labels"]),
-            recovered=tuple(sorted(obj["recovered"])),
+            lines=tuple(lines),
+            true_labels=tuple((str(n), int(a)) for n, a in _list_field(obj, "true_labels")),
+            recovered=tuple(sorted(_list_field(obj, "recovered"))),
+            truncated=truncated,
         )
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be a list, not {type(value).__name__}")
+    return value
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
@@ -159,6 +176,7 @@ class TargetFunctionSet:
 
     names: tuple[str, ...]
     frequencies: dict[str, int] = field(default_factory=dict)
+    name_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -170,6 +188,7 @@ class TargetFunctionSet:
             if name in seen:
                 raise ValueError(f"duplicate target name: {name!r}")
             seen.add(name)
+        object.__setattr__(self, "name_set", frozenset(seen))
 
     @classmethod
     def from_names(
@@ -186,11 +205,7 @@ class TargetFunctionSet:
         return cls(tuple(normalized), freqs)
 
     def __contains__(self, name: str) -> bool:
-        return name.lower() in set(self.names)
-
-    @property
-    def name_set(self) -> frozenset[str]:
-        return frozenset(self.names)
+        return name.lower() in self.name_set
 
 
 def load_targets(path: str | Path) -> TargetFunctionSet:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .combine import FunctionRecovery, RecoveryMultiset
-from .jsonl import atomic_write_text
+from .jsonl import atomic_write
 
 UNTAGGED = "untagged"
 
@@ -56,27 +56,26 @@ class EvalCounts:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
 
 
-def score_function(predicted: RecoveryMultiset, truth: RecoveryMultiset) -> EvalCounts:
-    """TP/FP/FN per name; one TN iff both sides are empty."""
-    tp = fp = fn = 0
-    for name in predicted.names | truth.names:
-        p, g = predicted[name], truth[name]
-        tp += min(p, g)
-        fp += max(0, p - g)
-        fn += max(0, g - p)
-    tn = 1 if not predicted and not truth else 0
-    return EvalCounts(tp, fp, fn, tn)
-
-
 def score_by_name(
     predicted: RecoveryMultiset, truth: RecoveryMultiset
 ) -> dict[str, EvalCounts]:
-    """The same counts attributed to individual names; TN has no name."""
+    """TP/FP/FN for each name on either side; TN has no name."""
+    pred, gold = predicted.as_dict(), truth.as_dict()
     out = {}
-    for name in predicted.names | truth.names:
-        p, g = predicted[name], truth[name]
+    for name in pred.keys() | gold.keys():
+        p, g = pred.get(name, 0), gold.get(name, 0)
         out[name] = EvalCounts(min(p, g), max(0, p - g), max(0, g - p), 0)
     return out
+
+
+def _function_counts(by_name: Mapping[str, EvalCounts]) -> EvalCounts:
+    # a body with no name on either side is the one true negative
+    return sum(by_name.values(), EvalCounts(tn=int(not by_name)))
+
+
+def score_function(predicted: RecoveryMultiset, truth: RecoveryMultiset) -> EvalCounts:
+    """The per-name counts summed; one TN iff both sides are empty."""
+    return _function_counts(score_by_name(predicted, truth))
 
 
 @dataclass(frozen=True)
@@ -206,10 +205,10 @@ def score_recoveries(
         g = truth_by_id.get(fid)
         pm = p.counts if p else empty
         gm = g.counts if g else empty
-        counts.append(score_function(pm, gm))
-        level = p.optlevel if p and p.optlevel is not None else (g.optlevel if g else None)
-        levels.append(level)
-        names.append(score_by_name(pm, gm))
+        by_name = score_by_name(pm, gm)
+        counts.append(_function_counts(by_name))
+        names.append(by_name)
+        levels.append(p.optlevel if p and p.optlevel is not None else (g.optlevel if g else None))
     return aggregate(counts, levels, names)
 
 
@@ -258,4 +257,4 @@ def frequency_correlation(
 
 
 def write_report(path: str | Path, report: EvalReport) -> None:
-    atomic_write_text(path, json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -25,17 +26,30 @@ def dump_line(record: Mapping[str, Any]) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
 
 
-def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
-    """Write records atomically (tmp file + rename). Returns the record count."""
+@contextlib.contextmanager
+def _replacing(path: str | Path, mode: str):
+    """Yield a sibling tmp file open in `mode`; a clean exit renames it over `path`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write utf-8 text or raw bytes to `path` through a tmp file and a rename."""
+    with _replacing(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> int:
+    """Write records atomically (tmp file + rename). Returns the record count."""
     count = 0
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w") as fh:
         for record in records:
             fh.write(dump_line(record))
             fh.write("\n")
             count += 1
-    os.replace(tmp, path)
     return count
 
 
@@ -43,17 +57,3 @@ def append_jsonl(path: str | Path, record: Mapping[str, Any]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(dump_line(record))
         fh.write("\n")
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)

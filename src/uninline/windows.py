@@ -3,11 +3,10 @@
 Scanning slides a height-h window down the body one stride at a time;
 each window is labeled with the marker whose anchor line falls inside
 it, smallest anchor first and lexicographic name on equal lines, or
-EMPTY when no anchor is covered. Centered extraction instead clips a
-[anchor-before, anchor+after] span around one marker.
+EMPTY when no anchor is covered.
 
-Marker assignment lines are stripped from window text in both modes so
-a classifier never reads the labels it is meant to predict.
+Marker assignment lines are stripped from window text so a classifier
+never reads the labels it is meant to predict.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ from .jsonl import read_jsonl, write_jsonl
 from .markers import MARKER_PREFIX
 
 EMPTY = ""
-SCAN = "scan"
-CENTERED = "centered"
-# widest allowed centered span, lines (before + after + 1)
-CENTERED_SPAN_CAP = 201
 
 DEFAULT_HEIGHT = 20
 DEFAULT_STRIDE = 1
@@ -36,21 +31,12 @@ DEFAULT_DISCARD_FRACTION = 0.65
 class WindowSpec:
     height: int = DEFAULT_HEIGHT
     stride: int = DEFAULT_STRIDE
-    mode: str = SCAN
-    before: int = 10  # centered mode only
-    after: int = 10
 
     def __post_init__(self):
         if self.height < 1:
             raise ValueError("window height must be at least 1 line")
         if self.stride < 1:
             raise ValueError("stride must be at least 1 line")
-        if self.mode not in (SCAN, CENTERED):
-            raise ValueError(f"unknown window mode: {self.mode!r}")
-        if self.before < 0 or self.after < 0:
-            raise ValueError("centered extents must be non-negative")
-        if self.before + self.after + 1 > CENTERED_SPAN_CAP:
-            raise ValueError(f"centered span wider than {CENTERED_SPAN_CAP} lines")
 
 
 @dataclass(frozen=True)
@@ -83,10 +69,6 @@ class WindowInstance:
         )
 
 
-def _marker_lines(body: DecompiledFunction) -> frozenset[int]:
-    return frozenset(i for i, line in enumerate(body.lines) if MARKER_PREFIX in line)
-
-
 def _window_label(body: DecompiledFunction, start: int, end: int) -> str:
     covered = [(anchor, name) for name, anchor in body.true_labels if start <= anchor < end]
     if not covered:
@@ -96,8 +78,6 @@ def _window_label(body: DecompiledFunction, start: int, end: int) -> str:
 
 def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInstance]:
     """All stride-spaced windows of the body; max(1, L-h+1) of them at stride 1."""
-    if spec.mode != SCAN:
-        raise ValueError("scan_windows requires a scan-mode spec")
     length = len(body.lines)
     if length == 0:
         return []
@@ -105,30 +85,13 @@ def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInsta
         starts: Sequence[int] = (0,)
     else:
         starts = range(0, length - spec.height + 1, spec.stride)
-    skip = _marker_lines(body)
+    skip = frozenset(i for i, line in enumerate(body.lines) if MARKER_PREFIX in line)
     out = []
     for start in starts:
         end = min(start + spec.height, length)
         lines = tuple(body.lines[i] for i in range(start, end) if i not in skip)
         out.append(WindowInstance(body.id, start, lines, _window_label(body, start, end)))
     return out
-
-
-def centered_context(body: DecompiledFunction, anchor: int, spec: WindowSpec) -> WindowInstance:
-    """The clipped [anchor-before, anchor+after] span around one marker."""
-    if spec.mode != CENTERED:
-        raise ValueError("centered_context requires a centered-mode spec")
-    length = len(body.lines)
-    if not 0 <= anchor < length:
-        raise ValueError(f"anchor {anchor} outside a {length}-line body")
-    names = sorted(name for name, a in body.true_labels if a == anchor)
-    if not names:
-        raise ValueError(f"no marker anchored at line {anchor}")
-    lo = max(0, anchor - spec.before)
-    hi = min(length - 1, anchor + spec.after)
-    skip = _marker_lines(body)
-    lines = tuple(body.lines[i] for i in range(lo, hi + 1) if i not in skip)
-    return WindowInstance(body.id, lo, lines, names[0])
 
 
 def rebalance(

@@ -152,13 +152,6 @@ def test_vocab_file_detects_tampered_id_table(tmp_path) -> None:
         load_vocab(path)
 
 
-def test_token_to_id_covers_whole_vocab() -> None:
-    vocab = train_bpe(FIXTURE, vocab_size=280, min_frequency=2)
-    mapping = vocab.token_to_id
-    assert len(mapping) == vocab.size
-    assert sorted(mapping.values()) == list(range(vocab.size))
-
-
 def test_invalid_parameters_refused() -> None:
     with pytest.raises(ValueError):
         train_bpe(["x"], vocab_size=256, min_frequency=1)

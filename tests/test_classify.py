@@ -12,7 +12,6 @@ import pytest
 from uninline.bpe import encode, train_bpe
 from uninline.classify import (
     ExternalProtocolError,
-    PredictorHandle,
     PriorModel,
     fit_prior,
     fit_token_stats,
@@ -31,12 +30,6 @@ FID = FunctionId("x.c", "f", 0)
 
 def _w(text: str, label: str = EMPTY, start: int = 0) -> WindowInstance:
     return WindowInstance(FID, start, tuple(text.split("\n")), label)
-
-
-def test_handle_validates_kind() -> None:
-    PredictorHandle("prior", {})
-    with pytest.raises(ValueError):
-        PredictorHandle("transformer", {})
 
 
 def test_fit_prior_counts_frequencies() -> None:

@@ -369,6 +369,34 @@ def test_data_errors_exit_2(tmp_path, capsys) -> None:
     assert "missing field" in capsys.readouterr().err
 
 
+FUNCTION = {"id": ["a.c", "f", 0], "lines": ["int f(void)", "{", "}"],
+            "true_labels": [], "recovered": []}
+RECOVERY = {"func_id": ["a.c", "f", 0], "counts": {"memset": 1}}
+
+
+@pytest.mark.parametrize("record, field", [
+    ({**FUNCTION, "lines": "abc"}, "lines"),
+    ({**FUNCTION, "lines": ["int f(void)", 7]}, "lines"),
+    ({**FUNCTION, "true_labels": None}, "true_labels"),
+    ({**FUNCTION, "truncated": "yes"}, "truncated"),
+    ({**RECOVERY, "counts": {"memset": 1.7}}, "counts"),
+    ({**RECOVERY, "counts": {"memset": "2"}}, "counts"),
+    ({**RECOVERY, "counts": {"memset": True}}, "counts"),
+], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
+        "count-float", "count-string", "count-bool"])
+def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "out.jsonl"
+    if "counts" in record:
+        argv = ["score", "--pred", str(path), "--truth", str(path), "--report", str(out)]
+    else:
+        argv = ["windows", "--functions", str(path), "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         cli.run(["--version"])

@@ -107,11 +107,16 @@ def test_function_record_roundtrip(tmp_path) -> None:
         true_labels=(("memset", 2),),
         recovered=("sprintf", "sprintf"),
     )
+    cut = DecompiledFunction(FunctionId("dec/a.c", "tail", 1), ("int tail(void)", "{"),
+                             truncated=True)
     path = tmp_path / "fns.jsonl"
-    assert write_functions(path, [fn]) == 1
+    assert write_functions(path, [fn, cut]) == 2
     back = read_functions(path)
-    assert back == [fn]
+    assert back == [fn, cut]
+    assert back[1].truncated
+    # the flag is written only when set, so untruncated records keep their old bytes
     assert set(fn.as_json()) == {"id", "lines", "true_labels", "recovered"}
+    assert cut.as_json()["truncated"] is True
 
 
 def test_function_record_validates_anchor() -> None:

@@ -11,7 +11,6 @@ from uninline.windows import (
     EMPTY,
     WindowInstance,
     WindowSpec,
-    centered_context,
     read_windows,
     rebalance,
     scan_windows,
@@ -99,56 +98,11 @@ def test_stride_skips_starts() -> None:
     assert [w.start for w in ws] == [0, 5, 10]
 
 
-def test_centered_basic_span() -> None:
-    body = make_body("f", 40, labels=(("memset", 15),))
-    spec = WindowSpec(mode="centered", before=10, after=10)
-    w = centered_context(body, 15, spec)
-    assert w.start == 5
-    assert len(w.lines) == 21
-    assert w.label == "memset"
-
-
-def test_centered_clips_at_bounds() -> None:
-    body = make_body("f", 40, labels=(("memset", 3),))
-    spec = WindowSpec(mode="centered", before=10, after=10)
-    w = centered_context(body, 3, spec)
-    assert w.start == 0
-    assert len(w.lines) == 14  # lines 0..13
-
-
-def test_centered_forward_and_backward_variants_overlap_only_at_anchor() -> None:
-    body = make_body("f", 40, labels=(("memset", 20),))
-    fwd = centered_context(body, 20, WindowSpec(mode="centered", before=0, after=10))
-    back = centered_context(body, 20, WindowSpec(mode="centered", before=10, after=0))
-    fwd_span = set(range(fwd.start, fwd.start + len(fwd.lines)))
-    back_span = set(range(back.start, back.start + len(back.lines)))
-    assert fwd_span & back_span == {20}
-
-
-def test_centered_requires_marker_at_anchor() -> None:
-    body = make_body("f", 40, labels=(("memset", 15),))
-    spec = WindowSpec(mode="centered", before=5, after=5)
-    with pytest.raises(ValueError):
-        centered_context(body, 16, spec)
-
-
-def test_mode_mismatch_rejected() -> None:
-    body = make_body("f", 10)
-    with pytest.raises(ValueError):
-        scan_windows(body, WindowSpec(mode="centered"))
-    with pytest.raises(ValueError):
-        centered_context(body, 0, SCAN20)
-
-
 def test_spec_validation() -> None:
     with pytest.raises(ValueError):
         WindowSpec(height=0)
     with pytest.raises(ValueError):
         WindowSpec(stride=0)
-    with pytest.raises(ValueError):
-        WindowSpec(mode="diagonal")
-    with pytest.raises(ValueError):
-        WindowSpec(mode="centered", before=150, after=150)
 
 
 def _pool(n_empty: int, n_labeled: int) -> list[WindowInstance]:
