@@ -26,6 +26,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,8 +46,20 @@ def _to_bytes(text: str | bytes) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
+def _check_merge(rank: int, pair: tuple[int, int], where: str = "") -> None:
+    if not all(0 <= t < BASE_TOKENS + rank for t in pair):
+        raise ValueError(f"{where}merge {rank} references an id not yet defined: {pair}")
+
+
 @dataclass(frozen=True)
 class BpeVocab:
+    """A merge list and the limits it was trained under.
+
+    The tables derived from the merges, and the encode memo, are built
+    on first use and kept on the object. They are not fields, so
+    equality, hashing and repr see only the merges and limits.
+    """
+
     merges: tuple[tuple[int, int], ...]
     vocab_size_limit: int = DEFAULT_VOCAB_SIZE
     min_frequency: int = DEFAULT_MIN_FREQUENCY
@@ -53,23 +67,42 @@ class BpeVocab:
     def __post_init__(self):
         if BASE_TOKENS + len(self.merges) > self.vocab_size_limit:
             raise ValueError("more merges than the vocabulary limit allows")
-        for rank, (a, b) in enumerate(self.merges):
-            if not (0 <= a < BASE_TOKENS + rank and 0 <= b < BASE_TOKENS + rank):
-                raise ValueError(f"merge {rank} references an id not yet defined: {(a, b)}")
+        for rank, pair in enumerate(self.merges):
+            _check_merge(rank, pair)
 
     @property
     def size(self) -> int:
         return BASE_TOKENS + len(self.merges)
 
-    def token_bytes(self) -> list[bytes]:
+    def token_bytes(self) -> tuple[bytes, ...]:
         """Byte expansion of every token id, index = id."""
+        return self._token_bytes
+
+    @cached_property
+    def _token_bytes(self) -> tuple[bytes, ...]:
         table = [bytes([i]) for i in range(BASE_TOKENS)]
         for a, b in self.merges:
             table.append(table[a] + table[b])
-        return table
+        return tuple(table)
 
-    def merge_ranks(self) -> dict[tuple[int, int], int]:
+    @cached_property
+    def _ranks(self) -> dict[tuple[int, int], int]:
         return {pair: rank for rank, pair in enumerate(self.merges)}
+
+    @cached_property
+    def _joinable(self) -> frozenset[tuple[int, int]]:
+        """The byte pairs (x, y) that sit side by side in some token.
+
+        A merge's token adds one adjacency to those inside its two parts:
+        the last byte of the left part against the first of the right.
+        """
+        tokens = self._token_bytes
+        return frozenset((tokens[a][-1], tokens[b][0]) for a, b in self.merges)
+
+    @cached_property
+    def _memo(self) -> dict[bytes, tuple[int, ...]]:
+        """Ids of every segment encoded so far with this vocabulary."""
+        return {}
 
 
 def _apply_merge(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
@@ -121,15 +154,66 @@ def train_bpe(
 
 
 def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
-    """Tokenize by applying merges in rank order wherever they occur."""
-    seq = list(_to_bytes(text))
-    ranks = vocab.merge_ranks()
-    while len(seq) >= 2:
-        best = min((ranks[p] for p in set(zip(seq, seq[1:])) if p in ranks), default=None)
-        if best is None:
-            break
-        seq = _apply_merge(seq, vocab.merges[best], BASE_TOKENS + best)
-    return seq
+    """Tokenize by applying merges in rank order, each left to right without overlap.
+
+    No token spans two adjacent bytes that sit side by side in no token,
+    so the input is cut between every such pair and each segment is
+    encoded alone: a merge that is the lowest rank left in the whole
+    text is also the lowest in each segment holding it. Segment ids are
+    memoized on the vocabulary object.
+    """
+    raw = _to_bytes(text)
+    joinable = vocab._joinable
+    cuts = [i for i, pair in enumerate(zip(raw, raw[1:]), 1) if pair not in joinable]
+    memo = vocab._memo
+    out: list[int] = []
+    for start, end in zip([0, *cuts], [*cuts, len(raw)]):
+        segment = raw[start:end]
+        ids = memo.get(segment)
+        if ids is None:
+            ids = memo[segment] = _merge_segment(vocab, segment)
+        out += ids
+    return out
+
+
+def _merge_segment(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:
+    """Apply the merges to one segment, popping pair sites by (rank, position).
+
+    Tokens form a linked list over byte positions; a heap holds
+    rank * n + position for every adjacent pair that has a rank, and
+    sites a merge has changed are skipped when popped. A merge of rank r
+    only creates pairs that contain its new id, whose ranks exceed r, so
+    all sites of rank r are present when the first is popped and are
+    merged left to right, as the rank-by-rank rescan would.
+    """
+    n = len(segment)
+    if n < 2:
+        return tuple(segment)
+    ranks = vocab._ranks
+    merges = vocab.merges
+    tokens = list(segment)  # -1 marks a position merged into its left neighbour
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = [r * n + i for i, pair in enumerate(zip(segment, segment[1:]))
+            if (r := ranks.get(pair)) is not None]
+    heapify(heap)
+    while heap:
+        rank, i = divmod(heappop(heap), n)
+        j = nxt[i]
+        if j == n or (tokens[i], tokens[j]) != merges[rank]:
+            continue
+        new = BASE_TOKENS + rank
+        tokens[i] = new
+        tokens[j] = -1
+        k = nxt[i] = nxt[j]
+        p = prv[i]
+        if p >= 0 and (r := ranks.get((tokens[p], new))) is not None:
+            heappush(heap, r * n + p)
+        if k < n:
+            prv[k] = i
+            if (r := ranks.get((new, tokens[k]))) is not None:
+                heappush(heap, r * n + i)
+    return tuple(t for t in tokens if t >= 0)
 
 
 def decode(vocab: BpeVocab, ids: Sequence[int]) -> str:
@@ -167,33 +251,45 @@ def save_vocab(path: str | Path, vocab: BpeVocab) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _parse_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: expected an integer, not {text!r}") from None
+
+
 def load_vocab(path: str | Path) -> BpeVocab:
     limit = DEFAULT_VOCAB_SIZE
     min_freq = DEFAULT_MIN_FREQUENCY
     merges: list[tuple[int, int]] = []
     id_table: dict[int, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{path}:{lineno}"
         line = raw.rstrip("\n")
         if not line.strip():
             continue
         if line.startswith("#"):
             parts = line[1:].split("\t")
             if len(parts) == 2 and parts[0].strip() == "vocab_size_limit":
-                limit = int(parts[1])
+                limit = _parse_int(parts[1], where)
             elif len(parts) == 2 and parts[0].strip() == "min_frequency":
-                min_freq = int(parts[1])
+                min_freq = _parse_int(parts[1], where)
             continue
         fields = line.split("\t")
         if len(fields) == 3:
-            rank, a, b = (int(f) for f in fields)
+            rank, a, b = (_parse_int(f, where) for f in fields)
             if rank != len(merges):
-                raise ValueError(f"{path}:{lineno}: merge ranks out of order")
+                raise ValueError(f"{where}: merge ranks out of order")
+            _check_merge(rank, (a, b), f"{where}: ")
             merges.append((a, b))
         elif len(fields) == 2:
-            id_table[int(fields[0])] = fields[1]
+            id_table[_parse_int(fields[0], where)] = fields[1]
         else:
-            raise ValueError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
-    vocab = BpeVocab(tuple(merges), vocab_size_limit=limit, min_frequency=min_freq)
+            raise ValueError(f"{where}: expected 2 or 3 tab-separated fields")
+    try:
+        vocab = BpeVocab(tuple(merges), vocab_size_limit=limit, min_frequency=min_freq)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if id_table:
         expected = {i: _escape(tok) for i, tok in enumerate(vocab.token_bytes())}
         if id_table != expected:

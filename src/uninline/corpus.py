@@ -87,8 +87,17 @@ class FunctionId(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: Sequence) -> "FunctionId":
+        if not isinstance(obj, (list, tuple)) or len(obj) != 3:
+            raise ValueError(f"function id must be [path, name, ordinal], not {obj!r}")
         path, name, ordinal = obj
-        return cls(str(path), str(name), int(ordinal))
+        for field_name, value in (("path", path), ("name", name)):
+            if not isinstance(value, str):
+                raise ValueError(f"function id field {field_name!r} must be a string, "
+                                 f"not {value!r}")
+        # bool is an int subclass; 1.9, "1" and true are all refused
+        if type(ordinal) is not int:
+            raise ValueError(f"function id field 'ordinal' must be an integer, not {ordinal!r}")
+        return cls(path, name, ordinal)
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,19 @@ class DecompiledFunction:
         truncated = obj.get("truncated", False)
         if not isinstance(truncated, bool):
             raise ValueError("field 'truncated' must be true or false")
+        true_labels = _list_field(obj, "true_labels")
+        for label in true_labels:
+            if not (isinstance(label, list) and len(label) == 2
+                    and isinstance(label[0], str) and type(label[1]) is int):
+                raise ValueError(f"field 'true_labels' holds {label!r}, not [name, line]")
+        recovered = _list_field(obj, "recovered")
+        if not all(isinstance(name, str) for name in recovered):
+            raise ValueError("field 'recovered' must hold only strings")
         return cls(
             id=FunctionId.from_json(obj["id"]),
             lines=tuple(lines),
-            true_labels=tuple((str(n), int(a)) for n, a in _list_field(obj, "true_labels")),
-            recovered=tuple(sorted(_list_field(obj, "recovered"))),
+            true_labels=tuple((name, anchor) for name, anchor in true_labels),
+            recovered=tuple(sorted(recovered)),
             truncated=truncated,
         )
 

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uninline.bpe import (
     BASE_TOKENS,
     BpeVocab,
+    _apply_merge,
     decode,
     encode,
     load_vocab,
@@ -131,6 +135,59 @@ def _oracle_merges(corpus, vocab_size, min_frequency):
     return merges
 
 
+def _oracle_encode(vocab, text):
+    """The rank-by-rank rescan: apply the lowest-ranked merge present
+    everywhere, left to right without overlap, until none is present."""
+    seq = list(text if isinstance(text, bytes) else text.encode("utf-8", "surrogateescape"))
+    ranks = {pair: rank for rank, pair in enumerate(vocab.merges)}
+    while len(seq) >= 2:
+        best = min((ranks[p] for p in set(zip(seq, seq[1:])) if p in ranks), default=None)
+        if best is None:
+            break
+        seq = _apply_merge(seq, vocab.merges[best], BASE_TOKENS + best)
+    return seq
+
+
+# few distinct bytes, so runs like "aaa" and pairs across "\n" are common;
+# 0xc3 0xa9 is valid utf-8 and 0xff never is
+_RAW = st.lists(st.sampled_from(b"aaab\n \xc3\xa9\xff"), max_size=40).map(bytes)
+_TEXT = st.one_of(_RAW, _RAW.map(lambda raw: raw.decode("utf-8", "surrogateescape")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=st.lists(_RAW, max_size=6), limit=st.integers(257, 320),
+       texts=st.lists(_TEXT, max_size=8))
+@example(corpus=[b"aaaa"], limit=257, texts=["aaa", "aaaaa", "", "a"])
+@example(corpus=[b"a\nb a\nb"], limit=262, texts=["a\nb", "\n", "b a\nb\n"])
+@example(corpus=[b"\xff\xffa"], limit=260, texts=[b"\xff\xffa", "\udcff\udcffa"])
+def test_encode_matches_rescan_oracle(corpus, limit, texts) -> None:
+    vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
+    expected = [_oracle_encode(vocab, text) for text in texts]
+    assert [encode(vocab, text) for text in texts] == expected
+    # the memo now holds every segment: other call orders must not change a result
+    assert [encode(vocab, text) for text in reversed(texts)] == expected[::-1]
+    assert [encode(vocab, text) for text in texts] == expected
+
+
+def test_encode_matches_rescan_oracle_on_windows() -> None:
+    vocab = train_bpe(FIXTURE, vocab_size=400, min_frequency=1)
+    assert len(vocab.merges) > 60
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        start = int(rng.integers(0, len(FIXTURE)))
+        text = "\n".join(FIXTURE[start:start + int(rng.integers(1, 6))])
+        assert encode(vocab, text) == _oracle_encode(vocab, text)
+
+
+def test_encode_of_a_merge_listed_twice_uses_its_last_rank() -> None:
+    # a hand-written vocabulary may repeat a merge; the rescan ranks a
+    # pair by its last listing, so id 256 is never produced
+    vocab = BpeVocab(((97, 97), (97, 97), (256, 97), (257, 97)), vocab_size_limit=300)
+    for text in ("aa", "aaa", "aaaa", "aaaaaaa"):
+        assert encode(vocab, text) == _oracle_encode(vocab, text)
+    assert encode(vocab, "aaa") == [259]
+
+
 def test_vocab_file_roundtrip(tmp_path) -> None:
     vocab = train_bpe(FIXTURE, vocab_size=300, min_frequency=2)
     path = tmp_path / "vocab.tsv"
@@ -161,3 +218,18 @@ def test_invalid_parameters_refused() -> None:
         BpeVocab(((990, 0),), vocab_size_limit=300)
     with pytest.raises(ValueError):
         decode(BpeVocab(()), [4000])
+
+
+@pytest.mark.parametrize("line", [
+    "# vocab_size_limit\tmany",
+    "# min_frequency\t2.5",
+    "x\t97\t97",
+    "0\t97\tb",
+    "z\ta",
+    "0\t97\t256",
+], ids=["header-limit", "header-frequency", "rank", "merge-id", "table-id", "undefined-id"])
+def test_vocab_file_errors_name_the_line(tmp_path, line) -> None:
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"# byte-level bpe vocabulary\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        load_vocab(path)

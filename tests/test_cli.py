@@ -382,8 +382,20 @@ RECOVERY = {"func_id": ["a.c", "f", 0], "counts": {"memset": 1}}
     ({**RECOVERY, "counts": {"memset": 1.7}}, "counts"),
     ({**RECOVERY, "counts": {"memset": "2"}}, "counts"),
     ({**RECOVERY, "counts": {"memset": True}}, "counts"),
+    ({**FUNCTION, "id": [None, "f", 0]}, "path"),
+    ({**FUNCTION, "id": ["a.c", 5, 0]}, "name"),
+    ({**FUNCTION, "id": ["a.c", "f", 1.9]}, "ordinal"),
+    ({**FUNCTION, "id": ["a.c", "f", True]}, "ordinal"),
+    ({**RECOVERY, "func_id": ["a.c", "f", "0"]}, "ordinal"),
+    ({**FUNCTION, "true_labels": [["memset", 1.7]]}, "true_labels"),
+    ({**FUNCTION, "true_labels": [["memset", "2"]]}, "true_labels"),
+    ({**FUNCTION, "true_labels": [[5, 1]]}, "true_labels"),
+    ({**FUNCTION, "true_labels": [["memset"]]}, "true_labels"),
+    ({**FUNCTION, "recovered": [5]}, "recovered"),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
-        "count-float", "count-string", "count-bool"])
+        "count-float", "count-string", "count-bool", "path-null", "name-number",
+        "ordinal-float", "ordinal-bool", "recovery-ordinal-string", "anchor-float",
+        "anchor-string", "label-name-number", "label-short", "recovered-number"])
 def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(record) + "\n")
@@ -394,6 +406,20 @@ def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None
         argv = ["windows", "--functions", str(path), "--out", str(out)]
     assert cli.run(argv) == 2
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["0\tx\t97", "0\t97\t300"], ids=["non-integer", "undefined-id"])
+def test_malformed_vocab_exits_2_with_location(tmp_path, capsys, line) -> None:
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(f"# byte-level bpe vocabulary\n{line}\n")
+    train = tmp_path / "windows.jsonl"
+    train.write_text("")
+    out = tmp_path / "model.json"
+    argv = ["fit", "--kind", "token-stats", "--windows", str(train), "--vocab", str(vocab),
+            "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert f"error: {vocab}:2: " in capsys.readouterr().err
     assert not out.exists()
 
 
