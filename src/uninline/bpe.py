@@ -7,6 +7,16 @@ vocabulary limit is reached or no pair occurs min_frequency times.
 Pair frequencies count every adjacent position; application is
 left-to-right non-overlapping.
 
+Training never recounts. An index maps each pair to the positions
+where it occurs, so a merge visits only its own sites and adjusts the
+counts of the pairs beside each one; a max-heap of (count, pair),
+checked against the true count when popped, picks the next merge. A
+merge only creates pairs that hold its new id, so every other pair
+only loses sites: a pair below min_frequency can never be merged, and
+is dropped from the index and the heap the moment it falls there. The
+merges, their order and their tie-breaks equal those of recounting
+every pair for each merge, which `tests/test_bpe.py` keeps as the oracle.
+
 Text enters and leaves through utf-8 with surrogateescape, so
 decode(encode(text)) is the identity even for text that round-trips
 arbitrary bytes.
@@ -24,10 +34,12 @@ that want token strings without replaying merges, and checked on load.
 from __future__ import annotations
 
 import logging
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -105,51 +117,82 @@ class BpeVocab:
         return {}
 
 
-def _apply_merge(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
-    out = []
-    i = 0
-    a, b = pair
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == a and seq[i + 1] == b:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
-
-
 def train_bpe(
     corpus: Iterable[str | bytes],
     vocab_size: int = DEFAULT_VOCAB_SIZE,
     min_frequency: int = DEFAULT_MIN_FREQUENCY,
 ) -> BpeVocab:
-    """Learn merges over the documents until the size limit or frequency floor."""
+    """Learn merges over the documents until the size limit or frequency floor.
+
+    All documents of two or more bytes form one token stream, each
+    preceded and followed by -1, which is in no pair. Tokens are linked
+    by `nxt`/`prv`; a position merged into its left neighbour holds -2.
+    Every pair at or above the floor keeps its count and the ascending
+    array of its left positions; a heap holds (-count, pair).
+    """
     if vocab_size <= BASE_TOKENS:
         raise ValueError(f"vocab_size must exceed {BASE_TOKENS}")
     if min_frequency < 1:
         raise ValueError("min_frequency must be at least 1")
-    seqs = [list(_to_bytes(doc)) for doc in corpus]
-    seqs = [s for s in seqs if len(s) >= 2]
-    if not seqs:
+    toks = array("i", [-1])
+    for raw in map(_to_bytes, corpus):
+        if len(raw) >= 2:
+            toks.extend(raw)
+            toks.append(-1)
+    if len(toks) == 1:
         log.warning("empty corpus; vocabulary holds only the %d base byte tokens", BASE_TOKENS)
+    counts = {pair: count for pair, count in Counter(zip(toks, islice(toks, 1, None))).items()
+              if count >= min_frequency and min(pair) >= 0}
+    sites = {pair: array("i") for pair in counts}
+    for i, pair in enumerate(zip(toks, islice(toks, 1, None))):
+        if pair in sites:
+            sites[pair].append(i)
+    nxt = array("i", range(1, len(toks) + 1))
+    prv = array("i", range(-1, len(toks) - 1))
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapify(heap)
 
     merges: list[tuple[int, int]] = []
-    while BASE_TOKENS + len(merges) < vocab_size:
-        counts: Counter = Counter()
-        for s in seqs:
-            counts.update(zip(s, s[1:]))
-        if not counts:
-            break
-        # max frequency, ties toward the smaller pair
-        neg_freq, pair = min((-f, p) for p, f in counts.items())
-        if -neg_freq < min_frequency:
-            break
-        new_id = BASE_TOKENS + len(merges)
+    while heap and BASE_TOKENS + len(merges) < vocab_size:
+        neg_count, pair = heappop(heap)
+        count = counts.get(pair)
+        if count is None:
+            continue
+        if count != -neg_count:  # counts only fall: retry at the true count
+            heappush(heap, (-count, pair))
+            continue
+        new = BASE_TOKENS + len(merges)
         merges.append(pair)
-        seqs = [_apply_merge(s, pair, new_id) for s in seqs]
-        seqs = [s for s in seqs if len(s) >= 2]
+        del counts[pair]
+        a, b = pair
+        born: dict[tuple[int, int], list[int]] = {}
+        for i in sites.pop(pair):
+            j = nxt[i]
+            if toks[i] != a or toks[j] != b:
+                continue  # an earlier merge, or site of this one, took a token of it
+            p, k = prv[i], nxt[j]
+            left, right = toks[p], toks[k]
+            for lost in ((left, a), (b, right)):
+                c = counts.get(lost)
+                if c is None:
+                    continue
+                if c > min_frequency:
+                    counts[lost] = c - 1
+                else:
+                    del counts[lost], sites[lost]
+            toks[i], toks[j] = new, -2
+            nxt[i], prv[k] = k, i
+            if left >= 0:
+                born.setdefault((left, new), []).append(p)
+            if right >= 0:
+                born.setdefault((new, right), []).append(i)
+        # a new pair only loses sites after this merge: below the floor now, never merged
+        for (x, y), candidates in born.items():
+            live = array("i", [q for q in candidates if toks[q] == x and toks[nxt[q]] == y])
+            if len(live) >= min_frequency:
+                counts[x, y] = len(live)
+                sites[x, y] = live
+                heappush(heap, (-len(live), (x, y)))
     return BpeVocab(tuple(merges), vocab_size_limit=vocab_size, min_frequency=min_frequency)
 
 

@@ -70,7 +70,10 @@ class LabelSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabelSequence":
-        return cls(FunctionId.from_json(obj["func_id"]), tuple(str(l) for l in obj["labels"]))
+        labels = obj["labels"]
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            raise ValueError("field 'labels' must be a list of strings")
+        return cls(FunctionId.from_json(obj["func_id"]), tuple(labels))
 
 
 def denoise(labels: Sequence[str], neighbor_span: int) -> list[str]:

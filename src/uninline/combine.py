@@ -36,12 +36,6 @@ class RecoveryMultiset:
             self, "counts", tuple(sorted((n, c) for n, c in items.items() if c > 0))
         )
 
-    def __getitem__(self, name: str) -> int:
-        return dict(self.counts).get(name, 0)
-
-    def __contains__(self, name: str) -> bool:
-        return self[name] > 0
-
     def __iter__(self) -> Iterator[str]:
         return (name for name, _ in self.counts)
 

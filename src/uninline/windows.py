@@ -60,12 +60,18 @@ class WindowInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WindowInstance":
-        text = obj["text"]
+        start, text, label = obj["start"], obj["text"], obj["label"]
+        # bool is an int subclass; 1.9, "1" and true are all refused
+        if type(start) is not int:
+            raise ValueError(f"field 'start' must be an integer, not {start!r}")
+        for key, value in (("text", text), ("label", label)):
+            if not isinstance(value, str):
+                raise ValueError(f"field {key!r} must be a string, not {type(value).__name__}")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
-            start=int(obj["start"]),
+            start=start,
             lines=tuple(text.split("\n")) if text else (),
-            label=str(obj["label"]),
+            label=label,
         )
 
 

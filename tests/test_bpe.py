@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from collections import Counter
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from uninline.bpe import (
     BASE_TOKENS,
     BpeVocab,
-    _apply_merge,
     decode,
     encode,
     load_vocab,
@@ -93,6 +93,84 @@ def test_roundtrip_on_fixture_text() -> None:
     ids = encode(vocab, joined)
     assert decode(vocab, ids) == joined
     assert max(ids) < vocab.size
+
+
+def _apply_merge(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
+    out = []
+    i = 0
+    a, b = pair
+    n = len(seq)
+    while i < n:
+        if i + 1 < n and seq[i] == a and seq[i + 1] == b:
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def _loop_merges(corpus, vocab_size, min_frequency):
+    """The training loop the incremental trainer replaced: recount every
+    pair of every document for each merge, then rewrite every document."""
+    seqs = [list(doc if isinstance(doc, bytes) else doc.encode("utf-8", "surrogateescape"))
+            for doc in corpus]
+    seqs = [s for s in seqs if len(s) >= 2]
+    merges = []
+    while BASE_TOKENS + len(merges) < vocab_size:
+        counts = Counter()
+        for s in seqs:
+            counts.update(zip(s, s[1:]))
+        if not counts:
+            break
+        neg_freq, pair = min((-f, p) for p, f in counts.items())
+        if -neg_freq < min_frequency:
+            break
+        new_id = BASE_TOKENS + len(merges)
+        merges.append(pair)
+        seqs = [_apply_merge(s, pair, new_id) for s in seqs]
+        seqs = [s for s in seqs if len(s) >= 2]
+    return tuple(merges)
+
+
+# few distinct bytes, so long runs, repeated pairs and frequency ties are common
+_DOC = st.lists(st.sampled_from(b"aaaabb\n "), max_size=30).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=st.lists(st.one_of(_DOC, _DOC.map(bytes.decode)), max_size=8),
+       limit=st.integers(257, 300), min_frequency=st.integers(1, 4))
+@example(corpus=[b"aaaa"], limit=300, min_frequency=1)
+@example(corpus=[b"aaaaaaaaa", b"aaa"], limit=300, min_frequency=2)
+@example(corpus=[b"", b"a", b"ab", b"b", b"ab"], limit=300, min_frequency=2)
+@example(corpus=[b"abab", b"cdcd", b"ba"], limit=300, min_frequency=2)
+@example(corpus=[b"ab\nab\nab", b"b\na"], limit=258, min_frequency=1)
+def test_train_matches_loop_oracle(corpus, limit, min_frequency) -> None:
+    vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
+    assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
+
+
+def _identifier_corpus(seed: int, docs: int, lines: int) -> list[str]:
+    rng = random.Random(seed)
+    syllables = ["ba", "ko", "ri", "tu", "me", "sa", "no", "vi", "xe", "lu", "qa", "zo"]
+    idents = ["".join(rng.choice(syllables) for _ in range(rng.randint(2, 4)))
+              for _ in range(120)]
+    out = []
+    for _ in range(docs):
+        body = []
+        for _ in range(lines):
+            x, y, z = rng.sample(idents, 3)
+            body.append(rng.choice([f"  {x} = {y} + {rng.randint(0, 99)};",
+                                    f"  if ({x} < {z}) {{", f"  {x}({y}, {z});", "  }"]))
+        out.append("\n".join(body))
+    return out
+
+
+def test_train_matches_loop_oracle_over_a_thousand_merges() -> None:
+    corpus = _identifier_corpus(11, docs=20, lines=20)
+    vocab = train_bpe(corpus, vocab_size=1400, min_frequency=1)
+    assert len(vocab.merges) == 1400 - BASE_TOKENS  # the limit stops it
+    assert vocab.merges == _loop_merges(corpus, 1400, 1)
 
 
 def test_merge_sequence_matches_naive_oracle() -> None:

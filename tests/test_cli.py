@@ -372,6 +372,8 @@ def test_data_errors_exit_2(tmp_path, capsys) -> None:
 FUNCTION = {"id": ["a.c", "f", 0], "lines": ["int f(void)", "{", "}"],
             "true_labels": [], "recovered": []}
 RECOVERY = {"func_id": ["a.c", "f", 0], "counts": {"memset": 1}}
+WINDOW = {"func_id": ["a.c", "f", 0], "start": 0, "label": "memset", "text": "{\n}"}
+LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
 
 
 @pytest.mark.parametrize("record, field", [
@@ -392,16 +394,31 @@ RECOVERY = {"func_id": ["a.c", "f", 0], "counts": {"memset": 1}}
     ({**FUNCTION, "true_labels": [[5, 1]]}, "true_labels"),
     ({**FUNCTION, "true_labels": [["memset"]]}, "true_labels"),
     ({**FUNCTION, "recovered": [5]}, "recovered"),
+    ({**WINDOW, "start": 1.9}, "start"),
+    ({**WINDOW, "start": "1"}, "start"),
+    ({**WINDOW, "start": True}, "start"),
+    ({**WINDOW, "label": 5}, "label"),
+    ({**WINDOW, "text": None}, "text"),
+    ({**LABELS, "labels": [None, 3]}, "labels"),
+    ({**LABELS, "labels": "memset"}, "labels"),
+    ({**LABELS, "labels": [["memset"]]}, "labels"),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
         "count-float", "count-string", "count-bool", "path-null", "name-number",
         "ordinal-float", "ordinal-bool", "recovery-ordinal-string", "anchor-float",
-        "anchor-string", "label-name-number", "label-short", "recovered-number"])
+        "anchor-string", "label-name-number", "label-short", "recovered-number",
+        "window-start-float", "window-start-string", "window-start-bool",
+        "window-label-number", "window-text-null",
+        "labels-null-number", "labels-string", "labels-nested"])
 def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
     path = tmp_path / "in.jsonl"
     path.write_text(json.dumps(record) + "\n")
     out = tmp_path / "out.jsonl"
     if "counts" in record:
         argv = ["score", "--pred", str(path), "--truth", str(path), "--report", str(out)]
+    elif "start" in record:
+        argv = ["rebalance", "--windows", str(path), "--out", str(out)]
+    elif "labels" in record:
+        argv = ["coalesce", "--labels", str(path), "--out", str(out)]
     else:
         argv = ["windows", "--functions", str(path), "--out", str(out)]
     assert cli.run(argv) == 2
