@@ -17,6 +17,18 @@ is dropped from the index and the heap the moment it falls there. The
 merges, their order and their tie-breaks equal those of recounting
 every pair for each merge, which `tests/test_bpe.py` keeps as the oracle.
 
+Encoding never rescans. No token spans two adjacent bytes that sit side
+by side in no token, so the text is cut between every such pair and
+each segment is encoded alone, once per vocabulary object (a memo).
+Consecutive texts share their cuts: each is laid on one byte stream at
+the first line start where the two agree byte for byte as far as they
+overlap, and only the bytes it adds are cut. Windows slid down a body
+one line at a time thus cut each line once. A cut depends only on the
+two bytes beside it, so the stream's cuts inside a text are the text's
+own, and its ids equal those of the rank-by-rank rescan of the text
+alone, whatever was encoded before; `tests/test_bpe.py` keeps the
+rescan as the oracle. A text that agrees nowhere starts a new stream.
+
 Text enters and leaves through utf-8 with surrogateescape, so
 decode(encode(text)) is the identity even for text that round-trips
 arbitrary bytes.
@@ -35,12 +47,14 @@ from __future__ import annotations
 
 import logging
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from pathlib import Path
+from threading import Lock
 from typing import Iterable, Sequence
 
 from .jsonl import atomic_write
@@ -115,6 +129,11 @@ class BpeVocab:
     def _memo(self) -> dict[bytes, tuple[int, ...]]:
         """Ids of every segment encoded so far with this vocabulary."""
         return {}
+
+    @cached_property
+    def _chain(self) -> "_Chain":
+        """The stream the last texts encoded with this vocabulary lie on."""
+        return _Chain()
 
 
 def train_bpe(
@@ -204,19 +223,146 @@ def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
     encoded alone: a merge that is the lowest rank left in the whole
     text is also the lowest in each segment holding it. Segment ids are
     memoized on the vocabulary object.
+
+    The text is laid on the vocabulary's byte stream (see `_Chain`): at
+    the first line start where the two agree byte for byte as far as
+    they overlap, or else on a new stream, and only the bytes it adds
+    are cut. A cut depends only on the two bytes beside it, so the
+    text's own cuts are the stream's cuts strictly inside it, and its
+    ids are the partial segment up to its first cut, the stream's ids
+    of the whole segments between, and the partial segment from its
+    last cut. The ids never depend on which texts were encoded before.
     """
     raw = _to_bytes(text)
-    joinable = vocab._joinable
-    cuts = [i for i, pair in enumerate(zip(raw, raw[1:]), 1) if pair not in joinable]
+    laid = vocab._chain
+    with laid.lock:
+        a = laid.find(raw)
+        if a < 0:
+            return laid.restart(vocab, raw)
+        laid.extend(vocab, raw, a)
+        cuts = laid.cuts
+        k1 = bisect_left(cuts, a)
+        k2 = bisect_right(cuts, a + len(raw)) - 1
+        if k1 > k2:
+            return list(_segment_ids(vocab, raw))
+        out = list(_segment_ids(vocab, raw[:cuts[k1] - a]))
+        out += laid.toks[laid.tok_at[k1]:laid.tok_at[k2]]
+        out += _segment_ids(vocab, raw[cuts[k2] - a:])
+        return out
+
+
+class _Chain:
+    """Consecutive texts laid on one byte stream, which is cut only once.
+
+    `cuts` holds the ascending segment starts of `stream`, from 0. Once
+    indexed, the ids of the segment from cuts[k] to cuts[k + 1] are
+    toks[tok_at[k]:tok_at[k + 1]]; the last segment is still open and
+    has no ids yet. An indexed stream may grow long, so its `cuts` and
+    `tok_at` are int arrays, 4 bytes an entry. `start` is where the
+    last text laid began.
+
+    A text is laid at the first line start of the stream, from `start`
+    on, where the two agree byte for byte as far as they overlap, and
+    the part of it past the stream's end is appended. Texts slid down
+    a body one line at a time thus share one stream and each adds only
+    its last line. A text that lies nowhere is encoded alone and
+    replaces the stream, so the stream holds at most one run of
+    overlapping texts; it is indexed only when a second text lies on
+    it, so texts that never overlap cost what encoding them alone
+    costs. Correctness rests only on the byte comparison, not on the
+    shape or order of the texts.
+    """
+
+    __slots__ = ("lock", "stream", "cuts", "tok_at", "toks", "start")
+
+    def __init__(self):
+        self.lock = Lock()  # laying a text is one compound update of shared state
+        self.stream = bytearray()
+        self.cuts = [0]
+        self.tok_at = self.toks = None
+        self.start = 0
+
+    def __reduce__(self):
+        return _Chain, ()  # a copy starts empty: the chain is only a cache
+
+    def find(self, raw: bytes) -> int:
+        """Where `raw` lies on the stream, or -1.
+
+        Where `raw` overlaps the stream by a line or more, the stream
+        holds raw's first line and its newline there, so finding that
+        head visits every such place; an overlap shorter than that lies
+        within the stream's last line.
+        """
+        stream, start = self.stream, self.start
+        n = len(stream)
+        head = raw[:raw.find(b"\n") + 1] or raw
+        a = stream.find(head, start)
+        while 0 <= a < n:
+            if (a == 0 or stream[a - 1] == 10) and (
+                    stream.startswith(raw, a) if len(raw) <= n - a
+                    else raw.startswith(stream[a:])):
+                return a
+            a = stream.find(head, a + 1)
+        a = stream.rfind(b"\n") + 1
+        return a if start <= a < n and raw.startswith(stream[a:]) else -1
+
+    def restart(self, vocab: BpeVocab, raw: bytes) -> list[int]:
+        """Encode `raw` alone and make it the stream, not yet indexed."""
+        joinable = vocab._joinable
+        cuts = [i for i, pair in enumerate(zip(raw, raw[1:]), 1) if pair not in joinable]
+        starts = [0, *cuts]
+        memo = vocab._memo
+        out: list[int] = []
+        for start, end in zip(starts, [*cuts, len(raw)]):  # `_segment_ids`, inlined
+            segment = raw[start:end]
+            ids = memo.get(segment)
+            if ids is None:
+                ids = memo[segment] = _merge_segment(vocab, segment)
+            out += ids
+        self.stream = bytearray(raw)
+        self.cuts = starts
+        self.tok_at = self.toks = None
+        self.start = 0
+        return out
+
+    def extend(self, vocab: BpeVocab, raw: bytes, a: int) -> None:
+        """Note that `raw` lies at `a`; append and cut what it has past the stream's end."""
+        if self.toks is None:  # index the segments `restart` closed
+            stream, memo = bytes(self.stream), vocab._memo
+            self.cuts = array("i", self.cuts)
+            self.toks, self.tok_at = [], array("i", [0])
+            for start, end in zip(self.cuts, self.cuts[1:]):
+                self.toks += memo[stream[start:end]]
+                self.tok_at.append(len(self.toks))
+        self.start = a
+        stream = self.stream
+        n = len(stream)
+        if len(raw) <= n - a:
+            return
+        opened = self.cuts[-1]
+        first = n - opened  # in `piece`, the first byte whose left pair is new
+        stream += raw[n - a:]
+        piece = bytes(stream[opened:])
+        joinable = vocab._joinable
+        ends = [i for i, pair in enumerate(zip(piece[first - 1:], piece[first:]), first)
+                if pair not in joinable]
+        memo, toks, tok_at = vocab._memo, self.toks, self.tok_at
+        for start, end in zip([0, *ends], ends):  # `_segment_ids`, inlined
+            segment = piece[start:end]
+            ids = memo.get(segment)
+            if ids is None:
+                ids = memo[segment] = _merge_segment(vocab, segment)
+            toks += ids
+            tok_at.append(len(toks))
+        self.cuts.fromlist([opened + end for end in ends])
+
+
+def _segment_ids(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:
     memo = vocab._memo
-    out: list[int] = []
-    for start, end in zip([0, *cuts], [*cuts, len(raw)]):
-        segment = raw[start:end]
-        ids = memo.get(segment)
-        if ids is None:
-            ids = memo[segment] = _merge_segment(vocab, segment)
-        out += ids
-    return out
+    ids = memo.get(segment)
+    if ids is None:
+        ids = memo[segment] = _merge_segment(vocab, segment)
+    return ids
 
 
 def _merge_segment(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:

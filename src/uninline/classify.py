@@ -32,6 +32,7 @@ import contextlib
 import json
 import logging
 import subprocess
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -143,12 +144,22 @@ def fit_token_stats(
     index = {l: i for i, l in enumerate(labels)}
     window_counts = np.zeros(len(labels), dtype=np.int64)
     token_counts = np.zeros((len(labels), vocab.size), dtype=np.int64)
+    pending = [array("i") for _ in labels]
+
+    def flush(i: int) -> None:
+        ids = np.frombuffer(pending[i], dtype=np.intc)
+        token_counts[i] += np.bincount(ids, minlength=vocab.size)
+        pending[i] = array("i")
+
     for w in train:
         i = index[w.label]
         window_counts[i] += 1
-        ids = encode(vocab, w.text)
-        if ids:
-            np.add.at(token_counts[i], ids, 1)
+        pending[i].fromlist(encode(vocab, w.text))
+        # a bincount costs O(vocab.size): batch that many ids per label, and no more
+        if len(pending[i]) >= vocab.size:
+            flush(i)
+    for i in range(len(labels)):
+        flush(i)
     return TokenStatsModel(labels, alpha, vocab, window_counts, token_counts)
 
 

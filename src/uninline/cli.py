@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
-from .jsonl import append_jsonl, atomic_write, read_jsonl, write_jsonl
+from .jsonl import append_jsonl, atomic_write, read_records, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -308,21 +308,30 @@ def _cmd_score(args) -> int:
     return 0
 
 
+def _per_name_row(row: dict) -> tuple[str, float, float, float]:
+    """A `score --per-name-out` record: the name and its precision, recall and f1."""
+    name = row["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"field 'name' must be a string, not {name!r}")
+    metrics = []
+    for key in ("precision", "recall", "f1"):
+        value = row[key]
+        # bool is an int subclass; "0.5" and true are both refused
+        if type(value) not in (int, float):
+            raise ValueError(f"field {key!r} must be a number, not {value!r}")
+        metrics.append(float(value))
+    return name, *metrics
+
+
 def _cmd_correlate(args) -> int:
     targets = corpus.load_targets(args.targets)
     per_name = {}
-    for row in read_jsonl(args.per_name):
-        name = row["name"]
+    for name, *metrics in read_records(args.per_name, _per_name_row):
         freq = targets.frequencies.get(name)
         if freq is None:
             log.warning("%s: no frequency in the target list; skipped", name)
             continue
-        per_name[name] = (
-            float(freq),
-            float(row["precision"]),
-            float(row["recall"]),
-            float(row["f1"]),
-        )
+        per_name[name] = (float(freq), *metrics)
     report = evaluate.frequency_correlation(per_name)
 
     def fmt(r):

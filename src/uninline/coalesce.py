@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .combine import RecoveryMultiset
 from .corpus import FunctionId
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 from .windows import EMPTY
 
 
@@ -139,7 +139,7 @@ def coalesce(
 
 
 def read_label_sequences(path) -> list[LabelSequence]:
-    return [LabelSequence.from_json(obj) for obj in read_jsonl(path)]
+    return read_records(path, LabelSequence.from_json)
 
 
 def write_label_sequences(path, sequences: Iterable[LabelSequence]) -> int:

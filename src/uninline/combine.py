@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FunctionId
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -88,15 +88,18 @@ class FunctionRecovery:
             # bool is an int subclass; "2", 1.7 and true are all refused
             if type(count) is not int:
                 raise ValueError(f"field 'counts': {name!r} has a non-integer count {count!r}")
+        optlevel = obj.get("optlevel")
+        if optlevel is not None and not isinstance(optlevel, str):
+            raise ValueError(f"field 'optlevel' must be a string, not {optlevel!r}")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
             counts=RecoveryMultiset(counts),
-            optlevel=obj.get("optlevel"),
+            optlevel=optlevel,
         )
 
 
 def read_recoveries(path) -> list[FunctionRecovery]:
-    return [FunctionRecovery.from_json(obj) for obj in read_jsonl(path)]
+    return read_records(path, FunctionRecovery.from_json)
 
 
 def write_recoveries(path, records: Iterable[FunctionRecovery]) -> int:

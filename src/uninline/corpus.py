@@ -176,7 +176,7 @@ def _list_field(obj: dict, key: str) -> list:
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
-    return [DecompiledFunction.from_json(obj) for obj in jsonl.read_jsonl(path)]
+    return jsonl.read_records(path, DecompiledFunction.from_json)
 
 
 def write_functions(path: str | Path, functions: Iterable[DecompiledFunction]) -> int:
@@ -229,13 +229,17 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
     """Read a target list: one ``name`` or ``name<TAB>frequency`` per line."""
     names = []
     freqs = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         names.append(parts[0])
         if len(parts) > 1:
+            # int() would also take "-5", "+5" and "1_000"
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise ValueError(f"{path}:{lineno}: frequency must be a non-negative "
+                                 f"integer, not {parts[1]!r}")
             freqs[parts[0].lower()] = int(parts[1])
     return TargetFunctionSet.from_names(names, freqs)
 

@@ -5,21 +5,51 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+
+T = TypeVar("T")
+
+
+def _nonblank(fh) -> Iterator[tuple[int, str]]:
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if line:
+            yield lineno, line
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield one decoded object per non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, line in _nonblank(fh):
             try:
-                yield json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno + 1}: bad JSON record: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: bad JSON record: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            yield obj
+
+
+def read_records(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+    """Decode every object of a JSONL file; a decoding error names its `path:line`.
+
+    `decode` raises ValueError for an ill-typed field and KeyError for a
+    missing one. `read_jsonl` yields bare objects, so the failing
+    record's line is found by reading the file again, which only an
+    error pays for.
+    """
+    records: list[T] = []
+    for obj in read_jsonl(path):
+        try:
+            records.append(decode(obj))
+        except (KeyError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            with open(path, "r", encoding="utf-8") as fh:
+                lineno, _ = next(islice(_nonblank(fh), len(records), None))
+            raise ValueError(f"{path}:{lineno}: {detail}") from None
+    return records
 
 
 def dump_line(record: Mapping[str, Any]) -> str:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import DecompiledFunction, FunctionId
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_records, write_jsonl
 from .markers import MARKER_PREFIX
 
 EMPTY = ""
@@ -129,4 +129,4 @@ def write_windows(path, instances: Iterable[WindowInstance]) -> int:
 
 
 def read_windows(path) -> list[WindowInstance]:
-    return [WindowInstance.from_json(obj) for obj in read_jsonl(path)]
+    return read_records(path, WindowInstance.from_json)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -245,6 +248,106 @@ def test_encode_matches_rescan_oracle(corpus, limit, texts) -> None:
     # the memo now holds every segment: other call orders must not change a result
     assert [encode(vocab, text) for text in reversed(texts)] == expected[::-1]
     assert [encode(vocab, text) for text in texts] == expected
+
+
+# lines of few distinct bytes, so windows of different bodies often share lines
+_LINE = st.lists(st.sampled_from(b"aab; \xc3\xa9\xff"), max_size=6).map(bytes)
+
+
+@st.composite
+def _window_sequences(draw):
+    """Documents, and texts cut from them in the orders encode may see them.
+
+    Each document is slid over by a window of random height and stride,
+    its windows kept in order, reversed or shuffled; then unrelated,
+    empty and newline-only texts, prefixes and suffixes of the text
+    before, and repeats are inserted at random places. Each text is
+    passed as bytes or as surrogate-escaped str.
+    """
+    docs = draw(st.lists(st.lists(_LINE, min_size=1, max_size=12), min_size=1, max_size=3))
+    texts = []
+    for lines in docs:
+        height, stride = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+        windows = [b"\n".join(lines[i:i + height])
+                   for i in range(0, max(1, len(lines) - height + 1), stride)]
+        order = draw(st.sampled_from(["forward", "reversed", "shuffled"]))
+        if order == "reversed":
+            windows.reverse()
+        elif order == "shuffled":
+            windows = draw(st.permutations(windows))
+        texts += windows
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(texts)))
+        before = texts[at - 1] if at else b""
+        line_starts = [0] + [i + 1 for i, byte in enumerate(before) if byte == ord("\n")]
+        cut = draw(st.one_of(st.sampled_from(line_starts), st.integers(0, len(before))))
+        kind = draw(st.sampled_from(["unrelated", "empty", "newlines", "prefix", "suffix",
+                                     "repeat"]))
+        texts.insert(at, {
+            "unrelated": b"\n".join(draw(st.lists(_LINE, max_size=4))),
+            "empty": b"",
+            "newlines": b"\n" * draw(st.integers(1, 3)),
+            "prefix": before[:cut],
+            "suffix": before[cut:],
+            "repeat": before,
+        }[kind])
+    as_str = draw(st.lists(st.booleans(), min_size=len(texts), max_size=len(texts)))
+    texts = [t.decode("utf-8", "surrogateescape") if s else t for t, s in zip(texts, as_str)]
+    return [b"\n".join(lines) for lines in docs], texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_window_sequences(), limit=st.integers(257, 320))
+@example(case=([b"ab\nab\nb;"], [b"ab\nab", b"ab\nb;", b"b;", b"ab\nb;", b"ab\nab\nb;"]),
+         limit=300)
+@example(case=([b"a\naa\na"], [b"a\naa", b"aa\na", "a\naa", b"", b"\n\n", b"a\na"]),
+         limit=300)
+@example(case=([b"\xff\n\xff\xff"], [b"\xff\n\xff", "\udcff\n\udcff\udcff", b"\xff"]),
+         limit=300)
+def test_encode_matches_rescan_oracle_over_window_sequences(case, limit) -> None:
+    # every text goes through one vocab object, so each is laid on the stream its
+    # predecessors left, and must still encode as the rescan encodes it alone
+    corpus, texts = case
+    vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
+    assert [encode(vocab, text) for text in texts] == [_oracle_encode(vocab, text)
+                                                        for text in texts]
+
+
+def test_encode_on_one_vocab_from_many_threads() -> None:
+    # the stream texts are laid on is shared state: each thread slides
+    # its own windows over one vocab object, with switches forced often
+    vocab = train_bpe(FIXTURE, vocab_size=400, min_frequency=1)
+    bodies = [FIXTURE[i:] + FIXTURE[:i] for i in range(4)]
+    texts = [["\n".join(body[j:j + 3]) for j in range(len(body) - 2)] * 20 for body in bodies]
+    expected = [[_oracle_encode(vocab, text) for text in seq] for seq in texts]
+    results: list = [None] * len(texts)
+
+    def work(k: int) -> None:
+        results[k] = [encode(vocab, text) for text in texts[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(texts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+def test_a_used_vocab_pickles_to_an_equal_one_that_encodes_alike() -> None:
+    vocab = train_bpe(FIXTURE, vocab_size=300, min_frequency=2)
+    text = "\n".join(FIXTURE)
+    encode(vocab, text)
+    copy = pickle.loads(pickle.dumps(vocab))
+    assert copy == vocab
+    for start in range(len(FIXTURE)):
+        window = "\n".join(FIXTURE[start:start + 3])
+        assert encode(copy, window) == encode(vocab, window) == _oracle_encode(vocab, window)
 
 
 def test_encode_matches_rescan_oracle_on_windows() -> None:

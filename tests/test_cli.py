@@ -384,6 +384,7 @@ LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
     ({**RECOVERY, "counts": {"memset": 1.7}}, "counts"),
     ({**RECOVERY, "counts": {"memset": "2"}}, "counts"),
     ({**RECOVERY, "counts": {"memset": True}}, "counts"),
+    ({**RECOVERY, "optlevel": 5}, "optlevel"),
     ({**FUNCTION, "id": [None, "f", 0]}, "path"),
     ({**FUNCTION, "id": ["a.c", 5, 0]}, "name"),
     ({**FUNCTION, "id": ["a.c", "f", 1.9]}, "ordinal"),
@@ -403,7 +404,7 @@ LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
     ({**LABELS, "labels": "memset"}, "labels"),
     ({**LABELS, "labels": [["memset"]]}, "labels"),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
-        "count-float", "count-string", "count-bool", "path-null", "name-number",
+        "count-float", "count-string", "count-bool", "optlevel-number", "path-null", "name-number",
         "ordinal-float", "ordinal-bool", "recovery-ordinal-string", "anchor-float",
         "anchor-string", "label-name-number", "label-short", "recovered-number",
         "window-start-float", "window-start-string", "window-start-bool",
@@ -411,19 +412,97 @@ LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
         "labels-null-number", "labels-string", "labels-nested"])
 def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
     path = tmp_path / "in.jsonl"
-    path.write_text(json.dumps(record) + "\n")
     out = tmp_path / "out.jsonl"
     if "counts" in record:
-        argv = ["score", "--pred", str(path), "--truth", str(path), "--report", str(out)]
+        good, argv = RECOVERY, ["score", "--pred", str(path), "--truth", str(path),
+                                "--report", str(out)]
     elif "start" in record:
-        argv = ["rebalance", "--windows", str(path), "--out", str(out)]
+        good, argv = WINDOW, ["rebalance", "--windows", str(path), "--out", str(out)]
     elif "labels" in record:
-        argv = ["coalesce", "--labels", str(path), "--out", str(out)]
+        good, argv = LABELS, ["coalesce", "--labels", str(path), "--out", str(out)]
     else:
-        argv = ["windows", "--functions", str(path), "--out", str(out)]
+        good, argv = FUNCTION, ["windows", "--functions", str(path), "--out", str(out)]
+    # a blank line counts toward the location too
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(record) + "\n")
     assert cli.run(argv) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {path}:3: " in err
+    assert f"'{field}'" in err
     assert not out.exists()
+
+
+def _stage_reading(stage: str, path, out) -> list[str]:
+    return {
+        "rebalance": ["rebalance", "--windows", str(path), "--out", str(out)],
+        "coalesce": ["coalesce", "--labels", str(path), "--out", str(out)],
+        "score": ["score", "--pred", str(path), "--truth", str(path), "--report", str(out)],
+        "windows": ["windows", "--functions", str(path), "--out", str(out)],
+    }[stage]
+
+
+@pytest.mark.parametrize("stage, line", [
+    ("rebalance", "[1, 2]"),
+    ("coalesce", '"x"'),
+    ("score", "[1, 2]"),
+    ("windows", "null"),
+])
+def test_non_object_record_exits_2_with_location(tmp_path, capsys, stage, line) -> None:
+    path = tmp_path / "in.jsonl"
+    path.write_text(f"\n{line}\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.run(_stage_reading(stage, path, out)) == 2
+    assert f"error: {path}:2: expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, record, field", [
+    ("rebalance", {k: v for k, v in WINDOW.items() if k != "start"}, "start"),
+    ("coalesce", {k: v for k, v in LABELS.items() if k != "func_id"}, "func_id"),
+    ("score", {k: v for k, v in RECOVERY.items() if k != "counts"}, "counts"),
+])
+def test_missing_record_field_names_its_location(tmp_path, capsys, stage, record, field) -> None:
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert cli.run(_stage_reading(stage, path, out)) == 2
+    assert f"error: {path}:1: missing field '{field}'" in capsys.readouterr().err
+
+
+PER_NAME = {"name": "memset", "tp": 1, "fp": 0, "fn": 0,
+            "precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+
+@pytest.mark.parametrize("record, field", [
+    ({**PER_NAME, "precision": "0.5"}, "precision"),
+    ({**PER_NAME, "recall": True}, "recall"),
+    ({**PER_NAME, "f1": None}, "f1"),
+    ({**PER_NAME, "name": ["memset"]}, "name"),
+], ids=["precision-string", "recall-bool", "f1-null", "name-list"])
+def test_correlate_refuses_non_numeric_metrics(tmp_path, capsys, record, field) -> None:
+    targets = tmp_path / "targets.tsv"
+    targets.write_text("memset\t50\nstrcpy\t10\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps({**PER_NAME, "name": "strcpy"}) + "\n"
+                    + json.dumps(record) + "\n")
+    report = tmp_path / "corr.json"
+    argv = ["correlate", "--per-name", str(path), "--targets", str(targets),
+            "--report", str(report)]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:2: field '{field}'" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("frequency", ["abc", "2.5", "-5", "1_000"])
+def test_bad_target_frequency_names_its_location(tmp_path, capsys, frequency) -> None:
+    targets = tmp_path / "targets.tsv"
+    targets.write_text(f"# name\tfrequency\nstrcpy\t10\nmemset\t{frequency}\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps(PER_NAME) + "\n")
+    assert cli.run(["correlate", "--per-name", str(path), "--targets", str(targets)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {targets}:3: frequency must be a non-negative integer, not {frequency!r}"
+            in err)
 
 
 @pytest.mark.parametrize("line", ["0\tx\t97", "0\t97\t300"], ids=["non-integer", "undefined-id"])
