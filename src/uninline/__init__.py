@@ -50,17 +50,13 @@ from .combine import (
     write_recoveries,
 )
 from .corpus import (
-    CorpusLoad,
     DecompiledFunction,
     FunctionId,
     Language,
-    ManifestEntry,
     OptLevel,
     SourceFile,
     TargetFunctionSet,
-    load_corpus,
     load_targets,
-    parse_manifest,
     read_functions,
     split_functions,
     split_lines,

@@ -253,7 +253,11 @@ def spawn_external(
     vocab: BpeVocab,
     known_labels: Iterable[str] | None = None,
 ):
-    """Run an external labeler subprocess for the duration of the block."""
+    """Run an external labeler subprocess for the duration of the block.
+
+    On exit the child's stdin is closed, the child is reaped (killed if
+    it has not exited within 10 s), and then its stdout is closed.
+    """
     proc = subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     try:
         yield ExternalModelClient(proc.stdout, proc.stdin, vocab, known_labels)
@@ -265,6 +269,8 @@ def spawn_external(
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        finally:
+            proc.stdout.close()
 
 
 def save_model(path: str | Path, model: PriorModel | TokenStatsModel) -> None:

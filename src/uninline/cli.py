@@ -1,12 +1,13 @@
 """Command-line pipeline front end.
 
 Stages communicate only through files: C sources in, marked C out
-(compilation and decompilation happen elsewhere), then line-JSON
-records through reconcile, windows, rebalance, fit, predict, coalesce,
-combine, score, and correlate. Every invocation appends one manifest
-record (command, parameters, input digests, seeds) to manifest.jsonl in
-the run directory, taken from $UNINLINE_RUN_ROOT or the working
-directory, so any stage can be replayed from its manifest line.
+(compilation and decompilation happen elsewhere), pseudo-C split into
+function records, then line-JSON records through reconcile, windows,
+rebalance, fit, predict, coalesce, combine, score, and correlate.
+Every invocation appends one manifest record (command, parameters,
+input digests, seeds) to manifest.jsonl in the run directory, taken
+from $UNINLINE_RUN_ROOT or the working directory, so any stage can be
+replayed from its manifest line.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -95,6 +96,21 @@ def _cmd_inject(args) -> int:
         outputs += [out_path, plan_path]
         print(f"{src_path}: {len(plan.assignments)} call sites marked -> {out_path}")
     _record_run("inject", args, [args.targets, *args.sources], outputs)
+    return 0
+
+
+def _cmd_split(args) -> int:
+    paths = sorted(args.paths)
+    for a, b in zip(paths, paths[1:]):
+        if a == b:
+            raise ValueError(f"{a}: given twice")
+    records = []
+    for path in paths:
+        source = corpus.SourceFile(path, Path(path).read_bytes(), corpus.Language.PSEUDO_C)
+        records += corpus.split_functions(source)
+    corpus.write_functions(args.out, records)
+    _record_run("split", args, paths, [args.out])
+    print(f"{len(records)} functions from {len(paths)} files -> {args.out}")
     return 0
 
 
@@ -369,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="write marked files here instead of beside inputs")
     p.add_argument("sources", nargs="+", help="C source files")
     p.set_defaults(func=_cmd_inject)
+
+    p = sub.add_parser("split", help="carve decompiled pseudo-C files into function records")
+    p.add_argument("--out", required=True, help="function records, sorted by path")
+    p.add_argument("paths", nargs="+", help="pseudo-C files; each path is recorded as given")
+    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("reconcile", help="derive labels from markers in decompiled functions")
     p.add_argument("--functions", required=True, help="decompiled function records")

@@ -1,18 +1,11 @@
-"""Data model and ingestion for original C sources and decompiled pseudo-C.
-
-A corpus is described by a manifest, one file per line::
-
-    role<TAB>optlevel<TAB>path
-
-where role is ``original`` or ``decompiled``, optlevel is one of
-O0 O1 Os O2 O3 Of Unknown, and path is relative to the corpus root.
-Blank lines and lines starting with ``#`` are skipped. The format is
-deliberately trivial so shell pipelines can generate it.
+"""Data model for original C sources and decompiled pseudo-C.
 
 Decompiled files are carved into per-function records by brace matching
-from a signature-shaped header line; decompiler output is syntactically
-regular enough that this is reliable. All types here are immutable after
-construction and safe to share across threads.
+from a signature-shaped header line (`split_functions`, the `uninline
+split` stage); decompiler output is syntactically regular enough that
+this is reliable. The matching runs on `ctext` code views, and walks
+only the parens and braces that regular expressions find. All types
+here are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -44,9 +37,6 @@ class OptLevel(enum.Enum):
     O3 = "O3"
     Of = "Of"
     UNKNOWN = "Unknown"
-
-
-ROLE_LANGUAGE = {"original": Language.C, "decompiled": Language.PSEUDO_C}
 
 
 def split_lines(content: bytes) -> list[str]:
@@ -244,90 +234,15 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
     return TargetFunctionSet.from_names(names, freqs)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    role: str
-    optlevel: OptLevel
-    path: str
-
-
-@dataclass(frozen=True)
-class LoadError:
-    path: str
-    message: str
-
-
-@dataclass(frozen=True)
-class CorpusLoad:
-    files: tuple[SourceFile, ...]
-    errors: tuple[LoadError, ...]
-
-
-def parse_manifest(lines: Iterable[str]) -> tuple[list[ManifestEntry], list[LoadError]]:
-    entries: list[ManifestEntry] = []
-    errors: list[LoadError] = []
-    seen_paths: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            errors.append(LoadError(line, f"line {lineno}: expected role<TAB>optlevel<TAB>path"))
-            continue
-        role, opt, path = parts
-        if role not in ROLE_LANGUAGE:
-            errors.append(LoadError(path, f"line {lineno}: undeclared role {role!r}"))
-            continue
-        try:
-            optlevel = OptLevel(opt)
-        except ValueError:
-            errors.append(LoadError(path, f"line {lineno}: unknown optimization level {opt!r}"))
-            continue
-        if path in seen_paths:
-            errors.append(LoadError(path, f"line {lineno}: duplicate path"))
-            continue
-        seen_paths.add(path)
-        entries.append(ManifestEntry(role, optlevel, path))
-    return entries, errors
-
-
-def load_corpus(root: str | Path, manifest: str | Path) -> CorpusLoad:
-    """Load every file listed in the manifest under `root`.
-
-    Per-entry failures (missing file, bad role) are collected instead of
-    aborting the load. Files come back sorted by path, so the result is
-    independent of manifest order and filesystem enumeration.
-    """
-    root = Path(root)
-    with open(manifest, "r", encoding="utf-8") as fh:
-        entries, errors = parse_manifest(fh)
-    files: list[SourceFile] = []
-    for entry in entries:
-        full = root / entry.path
-        try:
-            content = full.read_bytes()
-        except OSError as exc:
-            errors.append(LoadError(entry.path, f"unreadable: {exc}"))
-            continue
-        files.append(
-            SourceFile(
-                path=entry.path,
-                content=content,
-                language=ROLE_LANGUAGE[entry.role],
-                optimization=entry.optlevel,
-            )
-        )
-    files.sort(key=lambda f: f.path)
-    return CorpusLoad(tuple(files), tuple(errors))
-
-
 # Words that can precede "(" at file scope without being a function name.
 _NON_NAMES = frozenset(
     """if else while for do switch return goto sizeof case break continue
     typedef struct union enum int char void long short unsigned signed
     float double const static volatile register extern inline""".split()
 )
+_PREFIX_RE = re.compile(r"[A-Za-z0-9_\s\*]*")
+_PAREN_RE = re.compile(r"[(){};]")
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def _match_header(views: list[str], start: int) -> tuple[str, int, int] | None:
@@ -343,30 +258,28 @@ def _match_header(views: list[str], start: int) -> tuple[str, int, int] | None:
     if paren < 0:
         return None
     prefix = view[:paren]
-    if not re.fullmatch(r"[A-Za-z0-9_\s\*]*", prefix):
+    if not _PREFIX_RE.fullmatch(prefix):
         return None
     idents = ctext.IDENT_RE.findall(prefix)
     if not idents or idents[-1] in _NON_NAMES:
         return None
     name = idents[-1]
 
-    # Balance the parameter list, which may continue on following lines.
+    # Balance the parameter list, which may continue on following lines;
+    # only parens, braces and semicolons can change the outcome.
     depth = 0
-    line_idx, col = start, paren
-    while line_idx < len(views):
-        text = views[line_idx]
-        while col < len(text):
-            ch = text[col]
+    col = paren
+    for line_idx in range(start, len(views)):
+        for match in _PAREN_RE.finditer(views[line_idx], col):
+            ch = match.group()
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
                 if depth == 0:
-                    return _find_open_brace(views, name, line_idx, col + 1)
-            elif ch in "{};":
+                    return _find_open_brace(views, name, line_idx, match.end())
+            else:
                 return None
-            col += 1
-        line_idx += 1
         col = 0
     return None
 
@@ -391,19 +304,27 @@ def _find_open_brace(
 
 
 def _scan_body(views: list[str], open_line: int, open_col: int) -> int | None:
-    """Return the line index holding the matching close brace, or None at EOF."""
+    """Return the line index holding the matching close brace, or None at EOF.
+
+    A line with fewer `}` than the depth it starts at cannot close the
+    body, so its braces are only counted; the others are walked brace
+    by brace.
+    """
     depth = 0
     col = open_col
     for line_idx in range(open_line, len(views)):
         text = views[line_idx]
-        while col < len(text):
-            if text[col] == "{":
-                depth += 1
-            elif text[col] == "}":
-                depth -= 1
-                if depth == 0:
-                    return line_idx
-            col += 1
+        closes = text.count("}", col)
+        if closes < depth:
+            depth += text.count("{", col) - closes
+        else:
+            for match in _BRACE_RE.finditer(text, col):
+                if match.group() == "{":
+                    depth += 1
+                else:
+                    depth -= 1
+                    if depth == 0:
+                        return line_idx
         col = 0
     return None
 

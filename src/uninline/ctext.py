@@ -4,6 +4,14 @@ Nothing here parses C properly. The pipeline only needs to know which
 characters are *code* (outside string/char literals, comments, and
 preprocessor directives) so that brace counting and call-site matching
 do not trip over braces in string literals or commented-out code.
+
+The lexer has no per-character Python loop. A character-class search
+(`_SPECIAL_RE`) finds, left to right, each `"`, `'` or `/`, and one
+anchored regular expression (`_LEXEME_RE`) takes the literal or
+comment it opens; the text between lexemes is code and is kept, the
+lexemes are blanked. Literals and `//` comments end at end of
+line. A `/*` comment with no `*/` after its two opening characters
+carries over: the next line is blank up to its first `*/`.
 """
 
 from __future__ import annotations
@@ -24,6 +32,20 @@ class ScanState:
 
 
 START_STATE = ScanState()
+_IN_COMMENT = ScanState(in_comment=True)
+
+# The characters that can open a literal or a comment.
+_SPECIAL_RE = re.compile(r"[\"'/]")
+# Anchored at such a character: a literal runs to its closing quote or to
+# end of line (an escape may be a trailing backslash), `//` runs to end of
+# line, `/*` to the first `*/` after its own two characters; a comment
+# with no `*/` is `open` and carries into the next line. A `/` that opens
+# neither comment is `slash` and stays code. re.S lets `.` take any
+# character, as the per-character rules did.
+_LEXEME_RE = re.compile(
+    r"""\"(?:[^"\\]|\\.?)*"?|'(?:[^'\\]|\\.?)*'?|//.*|/\*.*?\*/|(?P<open>/\*.*)|(?P<slash>/)""",
+    re.S,
+)
 
 
 def code_view(line: str, state: ScanState = START_STATE) -> tuple[str, ScanState]:
@@ -34,44 +56,39 @@ def code_view(line: str, state: ScanState = START_STATE) -> tuple[str, ScanState
     `/* */` comments, and preprocessor directives (with backslash
     continuations) are all blanked. Literals are assumed not to span
     lines; an unterminated literal is closed at end of line.
+
+    A line that starts inside a comment is blank up to the first `*/`.
+    From there, each `"`, `'` or `/` that `_SPECIAL_RE` finds is matched
+    once against `_LEXEME_RE`: a literal or comment is blanked, a lone
+    `/` is copied, and the text before it is copied as it is. The line
+    ends inside a comment when its last lexeme opened `/*` with no `*/`
+    after those two characters, so `/*/` stays open.
     """
     if state.in_directive or (not state.in_comment and line.lstrip().startswith("#")):
         continued = line.endswith("\\")
         return " " * len(line), ScanState(in_comment=False, in_directive=continued)
 
-    out = [" "] * len(line)
-    mode = "comment" if state.in_comment else "code"
-    escaped = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if mode == "code":
-            if ch == '"':
-                mode = "string"
-            elif ch == "'":
-                mode = "char"
-            elif ch == "/" and line.startswith("//", i):
-                break
-            elif ch == "/" and line.startswith("/*", i):
-                mode = "comment"
-                i += 2
-                continue
-            else:
-                out[i] = ch
-        elif mode in ("string", "char"):
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif (ch == '"' and mode == "string") or (ch == "'" and mode == "char"):
-                mode = "code"
-        else:  # comment
-            if ch == "*" and line.startswith("*/", i):
-                mode = "code"
-                i += 2
-                continue
-        i += 1
-    return "".join(out), ScanState(in_comment=(mode == "comment"), in_directive=False)
+    pos = 0
+    if state.in_comment:
+        close = line.find("*/")
+        if close < 0:
+            return " " * len(line), _IN_COMMENT
+        pos = close + 2
+    special = _SPECIAL_RE.search(line, pos)
+    if special is None and not pos:
+        return line, START_STATE
+    parts = [" " * pos]
+    kind = None
+    while special is not None:
+        start = special.start()
+        lexeme = _LEXEME_RE.match(line, start)
+        kind = lexeme.lastgroup
+        parts.append(line[pos:start])
+        pos = lexeme.end()
+        parts.append("/" if kind == "slash" else " " * (pos - start))
+        special = _SPECIAL_RE.search(line, pos)
+    parts.append(line[pos:])
+    return "".join(parts), _IN_COMMENT if kind == "open" else START_STATE
 
 
 def code_views(lines: Iterable[str]) -> list[str]:

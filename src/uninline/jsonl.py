@@ -12,24 +12,36 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 T = TypeVar("T")
 
 
-def _nonblank(fh) -> Iterator[tuple[int, str]]:
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if line:
-            yield lineno, line
+def _nonblank(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped text) for each non-blank line of `path`.
+
+    Lines end at LF, CR or CRLF, as in text mode. Each line is decoded
+    on its own, so invalid UTF-8 is reported at its line; text mode
+    decodes in blocks and could not say which.
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for block in fh:
+            for raw in block.splitlines() if b"\r" in block else (block,):
+                lineno += 1
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
+                if line:
+                    yield lineno, line
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield one decoded object per non-blank line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _nonblank(fh):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON record: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            yield obj
+    for lineno, line in _nonblank(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: bad JSON record: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        yield obj
 
 
 def read_records(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
@@ -46,8 +58,7 @@ def read_records(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
             records.append(decode(obj))
         except (KeyError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            with open(path, "r", encoding="utf-8") as fh:
-                lineno, _ = next(islice(_nonblank(fh), len(records), None))
+            lineno, _ = next(islice(_nonblank(path), len(records), None))
             raise ValueError(f"{path}:{lineno}: {detail}") from None
     return records
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import subprocess
 import sys
 from collections import Counter
 
@@ -261,6 +262,30 @@ def test_external_rejects_id_mismatch(tmp_path) -> None:
     with spawn_external(_server(tmp_path, SERVER_WRONG_ID), vocab) as client:
         with pytest.raises(ExternalProtocolError):
             client.predict([_w("a")])
+
+
+def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    with spawn_external(_server(tmp_path, SERVER_OK), vocab) as client:
+        client.predict([_w("a")])
+        assert not client._reader.closed
+    assert client._reader.closed
+
+
+def test_external_reader_closed_after_a_kill(monkeypatch) -> None:
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    real_wait = subprocess.Popen.wait
+
+    def impatient_wait(self, timeout=None):
+        if timeout is not None:
+            raise subprocess.TimeoutExpired(self.args, timeout)
+        return real_wait(self)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", impatient_wait)
+    argv = [sys.executable, "-c", "import time; time.sleep(60)"]  # ignores its stdin
+    with spawn_external(argv, vocab) as client:
+        pass
+    assert client._reader.closed
 
 
 def test_external_closed_stream_is_batch_error(tmp_path) -> None:

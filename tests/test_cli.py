@@ -347,6 +347,50 @@ def test_predict_rejects_scattered_function_windows(tmp_path) -> None:
     assert rc == 2
 
 
+PSEUDO_FILES = {
+    "dec/b.c": b"int second(void) {\n  memset(p, 0, 4);\n}\n",
+    "dec/a.c": b"int first(int x)\n{\n  if (x) { return \"}\"[0]; }\n  return 0;\n}\n"
+               b"/* void gone(void) { */\nvoid tail(void) {\n",
+}
+
+
+def test_split_writes_the_records_split_functions_gives(tmp_path, run_root, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    for path, content in PSEUDO_FILES.items():
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_bytes(content)
+    rc = cli.run(["split", "--out", "funcs.jsonl", *PSEUDO_FILES])
+    assert rc == 0
+    expected = []
+    for path in sorted(PSEUDO_FILES):
+        expected += corpus.split_functions(
+            corpus.SourceFile(path, PSEUDO_FILES[path], corpus.Language.PSEUDO_C))
+    corpus.write_functions("expected.jsonl", expected)
+    assert (tmp_path / "funcs.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+    assert [f.id.name for f in corpus.read_functions("funcs.jsonl")] == ["first", "tail", "second"]
+    (record,) = _manifest(run_root)
+    assert record["command"] == "split"
+    assert record["inputs"] == {
+        path: hashlib.sha256(content).hexdigest() for path, content in sorted(PSEUDO_FILES.items())
+    }
+    assert record["outputs"] == ["funcs.jsonl"]
+
+
+@pytest.mark.parametrize("names, message", [
+    (["a.c", "missing.c"], "missing.c"),
+    (["a.c", "a.c"], "a.c: given twice"),
+])
+def test_split_refuses_a_missing_or_repeated_file(tmp_path, run_root, capsys, monkeypatch,
+                                                  names, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.c").write_bytes(b"int f(void) {\n}\n")
+    rc = cli.run(["split", "--out", "funcs.jsonl", *names])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "funcs.jsonl").exists()
+    assert _manifest(run_root) == []
+
+
 def test_usage_errors_exit_1(tmp_path) -> None:
     with pytest.raises(SystemExit) as exc:
         cli.run(["score", "--pred", str(tmp_path / "x")])  # missing --truth
@@ -470,6 +514,15 @@ def test_missing_record_field_names_its_location(tmp_path, capsys, stage, record
 
 PER_NAME = {"name": "memset", "tp": 1, "fp": 0, "fn": 0,
             "precision": 1.0, "recall": 1.0, "f1": 1.0}
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_invalid_utf8_names_its_location(tmp_path, capsys, end) -> None:
+    path = tmp_path / "w.jsonl"
+    path.write_bytes(json.dumps(WINDOW).encode() + end + b'{"label": "\xff\xfe"}' + end)
+    rc = cli.run(["rebalance", "--windows", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {path}:2: invalid UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("record, field", [

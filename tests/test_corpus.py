@@ -1,9 +1,16 @@
-"""Corpus model: line splitting, manifests, targets, function splitting."""
+"""Corpus model: line splitting, targets, function splitting."""
 
 from __future__ import annotations
 
-import pytest
+import re
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ctext import LINES, oracle_code_view
+
+from uninline import corpus, ctext
 from uninline.corpus import (
     DecompiledFunction,
     FunctionId,
@@ -11,9 +18,7 @@ from uninline.corpus import (
     OptLevel,
     SourceFile,
     TargetFunctionSet,
-    load_corpus,
     load_targets,
-    parse_manifest,
     read_functions,
     split_functions,
     split_lines,
@@ -36,48 +41,6 @@ def test_split_lines_lossless_on_arbitrary_bytes() -> None:
     assert len(lines) == 2
     # surrogateescape round-trips the undecodable bytes
     assert lines[0].encode("utf-8", "surrogateescape") == b"\xff\xfe weird \x80"
-
-
-def test_parse_manifest_happy_and_errors() -> None:
-    entries, errors = parse_manifest(
-        [
-            "# comment",
-            "",
-            "original\tO2\tsrc/a.c",
-            "decompiled\tO2\tdec/a.c",
-            "weird\tO2\tdec/b.c",
-            "decompiled\tO9\tdec/c.c",
-            "decompiled\tO2\tdec/a.c",
-            "too\tfew",
-        ]
-    )
-    assert [e.path for e in entries] == ["src/a.c", "dec/a.c"]
-    assert entries[0].optlevel is OptLevel.O2
-    messages = " | ".join(err.message for err in errors)
-    assert "undeclared role" in messages
-    assert "unknown optimization level" in messages
-    assert "duplicate path" in messages
-    assert len(errors) == 4
-
-
-def test_load_corpus_collects_missing_files(tmp_path) -> None:
-    (tmp_path / "good.c").write_bytes(b"int x;\n")
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_text("original\tO0\tgood.c\ndecompiled\tO0\tmissing.c\n")
-    load = load_corpus(tmp_path, manifest)
-    assert [f.path for f in load.files] == ["good.c"]
-    assert load.files[0].language is Language.C
-    assert len(load.errors) == 1
-    assert "unreadable" in load.errors[0].message
-
-
-def test_load_corpus_sorted_by_path(tmp_path) -> None:
-    for name in ("z.c", "a.c"):
-        (tmp_path / name).write_bytes(b"int x;\n")
-    manifest = tmp_path / "m.tsv"
-    manifest.write_text("original\tO0\tz.c\noriginal\tO0\ta.c\n")
-    load = load_corpus(tmp_path, manifest)
-    assert [f.path for f in load.files] == ["a.c", "z.c"]
 
 
 def test_targets_normalize_and_lookup() -> None:
@@ -181,3 +144,103 @@ def test_split_functions_rejects_original_c() -> None:
     sf = SourceFile("a.c", b"int f(void) { return 0; }\n", Language.C, OptLevel.O0)
     with pytest.raises(ValueError):
         split_functions(sf)
+
+
+def oracle_match_header(views: list[str], start: int) -> tuple[str, int, int] | None:
+    """The per-character header reader that `_match_header` replaced."""
+    view = views[start]
+    paren = view.find("(")
+    if paren < 0:
+        return None
+    prefix = view[:paren]
+    if not re.fullmatch(r"[A-Za-z0-9_\s\*]*", prefix):
+        return None
+    idents = ctext.IDENT_RE.findall(prefix)
+    if not idents or idents[-1] in corpus._NON_NAMES:
+        return None
+    name = idents[-1]
+
+    depth = 0
+    line_idx, col = start, paren
+    while line_idx < len(views):
+        text = views[line_idx]
+        while col < len(text):
+            ch = text[col]
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    return corpus._find_open_brace(views, name, line_idx, col + 1)
+            elif ch in "{};":
+                return None
+            col += 1
+        line_idx += 1
+        col = 0
+    return None
+
+
+def oracle_scan_body(views: list[str], open_line: int, open_col: int) -> int | None:
+    """The per-character brace matcher that `_scan_body` replaced."""
+    depth = 0
+    col = open_col
+    for line_idx in range(open_line, len(views)):
+        text = views[line_idx]
+        while col < len(text):
+            if text[col] == "{":
+                depth += 1
+            elif text[col] == "}":
+                depth -= 1
+                if depth == 0:
+                    return line_idx
+            col += 1
+        col = 0
+    return None
+
+
+# Code views as `split_functions` sees them: headers, parens, braces and
+# semicolons, with the whitespace and names around them.
+VIEW_PIECES = ["int ", "f", "if", "*", " ", "\t", "\xa0", "(", ")", "{", "}", ";", "x", "{}", "} {"]
+VIEW_TEXT = st.lists(st.sampled_from(VIEW_PIECES), max_size=10).map("".join)
+HEADERS = st.builds(
+    "{}f({}){}".format,
+    st.lists(st.sampled_from(["int ", "*", " ", "\t", "\xa0", "x", "if ", ";"]),
+             max_size=4).map("".join),
+    st.lists(st.sampled_from(["x", " ", "(", ")", ",", "{", ";"]), max_size=6).map("".join),
+    st.sampled_from(["", " ", " {", "{ }", " ;", " x", ")", "(", " {}}"]),
+)
+VIEWS = st.lists(st.one_of(VIEW_TEXT, HEADERS, st.sampled_from(["{", "}", "", "  x;"])),
+                 min_size=1, max_size=8)
+# Files: lines a decompiler writes, mixed with lines of lexer pieces.
+FILE_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["int f(void)", "void g(int a) {", "{", "}", "  } else {",
+                         "  h(x);", "/* {", "*/ }", "  s = \"}\";", ""]),
+        LINES,
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(VIEWS)
+def test_scanners_match_character_loops(views) -> None:
+    for start in range(len(views)):
+        assert corpus._match_header(views, start) == oracle_match_header(views, start)
+    # every start, braces or not, including one past the end of a line
+    for line, view in enumerate(views):
+        for col in range(len(view) + 2):
+            assert corpus._scan_body(views, line, col) == oracle_scan_body(views, line, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FILE_LINES)
+def test_split_functions_matches_character_loops(lines) -> None:
+    source = SourceFile("r.c", "\n".join(lines).encode("utf-8", "surrogateescape"),
+                        Language.PSEUDO_C)
+    fast = split_functions(source)
+    with mock.patch.object(ctext, "code_view", oracle_code_view), \
+            mock.patch.object(corpus, "_match_header", oracle_match_header), \
+            mock.patch.object(corpus, "_scan_body", oracle_scan_body):
+        slow = split_functions(source)
+    assert fast == slow

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from uninline.ctext import START_STATE, CallSite, code_view, code_views, find_call_sites
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uninline.ctext import (
+    START_STATE,
+    CallSite,
+    ScanState,
+    code_view,
+    code_views,
+    find_call_sites,
+)
 
 
 def test_code_view_blanks_string_literals() -> None:
@@ -106,3 +116,78 @@ def test_depth_tracks_across_lines_and_same_line_braces() -> None:
     ]
     sites = find_call_sites(lines, frozenset({"memset"}))
     assert [s.line for s in sites] == [0, 4]
+
+
+def oracle_code_view(line: str, state: ScanState = START_STATE) -> tuple[str, ScanState]:
+    """The per-character lexer that `code_view` replaced, kept as its reference."""
+    if state.in_directive or (not state.in_comment and line.lstrip().startswith("#")):
+        continued = line.endswith("\\")
+        return " " * len(line), ScanState(in_comment=False, in_directive=continued)
+
+    out = [" "] * len(line)
+    mode = "comment" if state.in_comment else "code"
+    escaped = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if mode == "code":
+            if ch == '"':
+                mode = "string"
+            elif ch == "'":
+                mode = "char"
+            elif ch == "/" and line.startswith("//", i):
+                break
+            elif ch == "/" and line.startswith("/*", i):
+                mode = "comment"
+                i += 2
+                continue
+            else:
+                out[i] = ch
+        elif mode in ("string", "char"):
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif (ch == '"' and mode == "string") or (ch == "'" and mode == "char"):
+                mode = "code"
+        else:  # comment
+            if ch == "*" and line.startswith("*/", i):
+                mode = "code"
+                i += 2
+                continue
+        i += 1
+    return "".join(out), ScanState(in_comment=(mode == "comment"), in_directive=False)
+
+
+# Pieces of pseudo-C that steer the lexer: every character that opens or
+# closes a lexeme, escapes, the whitespace `str.lstrip` removes before a
+# directive's `#` (form feed, \x1c, no-break space), a CR, an LF (a
+# record's line may hold one), a lone surrogate from surrogateescape,
+# and the lexemes that overlap.
+PIECES = list("\"'\\/*#a {}(\t\x0c\x1c\xa0\r\n\udcff") + [
+    "/*/", "/**/", "*/", "->", "//", " #", "\\\"", "\\'", "x(",
+]
+LINES = st.lists(st.sampled_from(PIECES), max_size=16).map("".join)
+STATES = st.builds(ScanState, st.booleans(), st.booleans())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(LINES, STATES)
+@example('s = "a\\', START_STATE)  # trailing escape inside a literal
+@example("/*/ x", START_STATE)  # `/*/` does not close
+@example("a */ b /* c", ScanState(in_comment=True))
+@example("\t# x \\", START_STATE)  # a directive after whitespace, continued
+@example("\x1c#", ScanState(in_comment=True))
+def test_code_view_matches_character_loop(line, state) -> None:
+    assert code_view(line, state) == oracle_code_view(line, state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, max_size=8))
+def test_code_views_carry_state_like_character_loop(lines) -> None:
+    state = START_STATE
+    expected = []
+    for line in lines:
+        view, state = oracle_code_view(line, state)
+        expected.append(view)
+    assert code_views(lines) == expected
