@@ -7,15 +7,22 @@ vocabulary limit is reached or no pair occurs min_frequency times.
 Pair frequencies count every adjacent position; application is
 left-to-right non-overlapping.
 
-Training never recounts. An index maps each pair to the positions
-where it occurs, so a merge visits only its own sites and adjusts the
-counts of the pairs beside each one; a max-heap of (count, pair),
-checked against the true count when popped, picks the next merge. A
-merge only creates pairs that hold its new id, so every other pair
-only loses sites: a pair below min_frequency can never be merged, and
-is dropped from the index and the heap the moment it falls there. The
-merges, their order and their tie-breaks equal those of recounting
-every pair for each merge, which `tests/test_bpe.py` keeps as the oracle.
+Training never recounts. Byte pairs are counted once, and a merge
+adjusts the counts of the pairs beside each of its sites; a max-heap of
+(count, pair), checked against the true count when popped, picks the
+next merge. A merge only creates pairs that hold its new id, so every
+other pair only loses sites: a pair below min_frequency can never be
+merged, and is dropped the moment it falls there. Byte pairs keep no
+positions: a position that still holds a byte never absorbed its right
+neighbour, so one array scan for the two bytes side by side finds the
+live sites of a byte pair when it is merged. A pair born from a merge
+keeps the ascending array of its positions. A merge with few sites
+visits them one by one; one with many is applied as array operations
+(stale sites and every other site of an overlapping chain dropped,
+lost pairs tallied per pair, born pairs read off the merged stream),
+which give the same stream and counts. The merges, their order and
+their tie-breaks equal those of recounting every pair for each merge,
+which `tests/test_bpe.py` keeps as the oracle.
 
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
@@ -56,6 +63,8 @@ from itertools import islice
 from pathlib import Path
 from threading import Lock
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .jsonl import atomic_write
 
@@ -146,8 +155,10 @@ def train_bpe(
     All documents of two or more bytes form one token stream, each
     preceded and followed by -1, which is in no pair. Tokens are linked
     by `nxt`/`prv`; a position merged into its left neighbour holds -2.
-    Every pair at or above the floor keeps its count and the ascending
-    array of its left positions; a heap holds (-count, pair).
+    Every pair at or above the floor keeps its count, and a heap holds
+    (-count, pair). A pair that holds a merged id also keeps the
+    ascending array of its left positions; a byte pair's are found by
+    a scan when it is merged.
     """
     if vocab_size <= BASE_TOKENS:
         raise ValueError(f"vocab_size must exceed {BASE_TOKENS}")
@@ -162,12 +173,11 @@ def train_bpe(
         log.warning("empty corpus; vocabulary holds only the %d base byte tokens", BASE_TOKENS)
     counts = {pair: count for pair, count in Counter(zip(toks, islice(toks, 1, None))).items()
               if count >= min_frequency and min(pair) >= 0}
-    sites = {pair: array("i") for pair in counts}
-    for i, pair in enumerate(zip(toks, islice(toks, 1, None))):
-        if pair in sites:
-            sites[pair].append(i)
-    nxt = array("i", range(1, len(toks) + 1))
-    prv = array("i", range(-1, len(toks) - 1))
+    nxt, prv = array("i"), array("i")
+    nxt.frombytes(memoryview(np.arange(1, len(toks) + 1, dtype=np.intc)).cast("B"))
+    prv.frombytes(memoryview(np.arange(-1, len(toks) - 1, dtype=np.intc)).cast("B"))
+    T = np.frombuffer(toks, dtype=np.intc)
+    sites: dict[tuple[int, int], array] = {}
     heap = [(-count, pair) for pair, count in counts.items()]
     heapify(heap)
 
@@ -183,36 +193,134 @@ def train_bpe(
         new = BASE_TOKENS + len(merges)
         merges.append(pair)
         del counts[pair]
-        a, b = pair
-        born: dict[tuple[int, int], list[int]] = {}
-        for i in sites.pop(pair):
-            j = nxt[i]
-            if toks[i] != a or toks[j] != b:
-                continue  # an earlier merge, or site of this one, took a token of it
-            p, k = prv[i], nxt[j]
-            left, right = toks[p], toks[k]
-            for lost in ((left, a), (b, right)):
-                c = counts.get(lost)
-                if c is None:
-                    continue
-                if c > min_frequency:
-                    counts[lost] = c - 1
-                else:
-                    del counts[lost], sites[lost]
-            toks[i], toks[j] = new, -2
-            nxt[i], prv[k] = k, i
-            if left >= 0:
-                born.setdefault((left, new), []).append(p)
-            if right >= 0:
-                born.setdefault((new, right), []).append(i)
+        at = sites.pop(pair, None)
+        if at is None:  # a byte pair: a position holding a byte never absorbed its right neighbour
+            a, b = pair
+            at = np.flatnonzero((T[:-1] == a) & (T[1:] == b))
+        apply = _merge_loop if len(at) < _ARRAY_MERGE_SITES else _merge_array
         # a new pair only loses sites after this merge: below the floor now, never merged
-        for (x, y), candidates in born.items():
-            live = array("i", [q for q in candidates if toks[q] == x and toks[nxt[q]] == y])
-            if len(live) >= min_frequency:
-                counts[x, y] = len(live)
-                sites[x, y] = live
-                heappush(heap, (-len(live), (x, y)))
+        for born, live in apply(toks, nxt, prv, at, pair, new, counts, sites, min_frequency):
+            counts[born] = len(live)
+            sites[born] = live
+            heappush(heap, (-len(live), born))
     return BpeVocab(tuple(merges), vocab_size_limit=vocab_size, min_frequency=min_frequency)
+
+
+# A merge with at least this many sites is applied as array operations; one
+# numpy step costs about as much as the loop over this many sites
+_ARRAY_MERGE_SITES = 64
+
+
+def _lose(counts, sites, lost, by: int, floor: int) -> None:
+    """Take `by` sites from the pair `lost`, forgetting it below the floor."""
+    c = counts.get(lost)
+    if c is None:
+        return
+    if c - by >= floor:
+        counts[lost] = c - by
+    else:
+        del counts[lost]
+        sites.pop(lost, None)
+
+
+def _merge_loop(toks: array, nxt: array, prv: array, at, pair, new: int, counts, sites,
+                floor: int):
+    """Merge `pair` into `new` at each live site of `at`, left to right.
+
+    Adjusts the counts of the pairs beside each site and returns the
+    pairs born with `new` that reach the floor, with their live sites.
+    """
+    a, b = pair
+    born: dict[tuple[int, int], list[int]] = {}
+    for i in at.tolist() if isinstance(at, np.ndarray) else at:
+        j = nxt[i]
+        if toks[i] != a or toks[j] != b:
+            continue  # an earlier merge, or site of this one, took a token of it
+        p, k = prv[i], nxt[j]
+        left, right = toks[p], toks[k]
+        _lose(counts, sites, (left, a), 1, floor)
+        _lose(counts, sites, (b, right), 1, floor)
+        toks[i], toks[j] = new, -2
+        nxt[i], prv[k] = k, i
+        if left >= 0:
+            born.setdefault((left, new), []).append(p)
+        if right >= 0:
+            born.setdefault((new, right), []).append(i)
+    out = []
+    for (x, y), candidates in born.items():
+        live = array("i", [q for q in candidates if toks[q] == x and toks[nxt[q]] == y])
+        if len(live) >= floor:
+            out.append(((x, y), live))
+    return out
+
+
+def _merge_array(toks: array, nxt: array, prv: array, at, pair, new: int, counts, sites,
+                 floor: int):
+    """`_merge_loop` as one numpy step over the ascending sites `at`.
+
+    Stale sites are dropped, and in a chain of overlapping sites of a
+    pair (a, a) every other one, from the first, as the loop would skip
+    them. A site whose left neighbour the previous site merged has
+    `new` on its left and loses no pair there; the pair it would lose
+    is the previous site's right one. Lost pairs are tallied per pair.
+    Born pairs are read off the merged stream: the left and right
+    neighbours of each `new`, with (new, new) taken from the right.
+    """
+    T, N, P = (np.frombuffer(x, dtype=np.intc) for x in (toks, nxt, prv))
+    a, b = pair
+    at = np.asarray(at)
+    right = N[at]
+    live = (T[at] == a) & (T[right] == b)
+    at, right = at[live], right[live]
+    if a == b:
+        idx = np.arange(len(at))
+        chained = np.zeros(len(at), dtype=bool)
+        chained[1:] = at[1:] == right[:-1]
+        first = np.maximum.accumulate(np.where(chained, 0, idx))
+        keep = (idx - first) % 2 == 0
+        at, right = at[keep], right[keep]
+    after = N[right]
+    before = P[at]
+    fresh = np.ones(len(at), dtype=bool)
+    fresh[1:] = before[1:] != right[:-1]
+    for x, by in _tally(T[before[fresh]]):
+        _lose(counts, sites, (x, a), by, floor)
+    for y, by in _tally(T[after]):
+        _lose(counts, sites, (b, y), by, floor)
+    T[at] = new
+    T[right] = -2
+    N[at] = after
+    P[after] = at
+    before = P[at]
+    left = T[before]
+    other = left != new
+    out = [((x, new), live) for x, live in _group(left[other], before[other], floor)]
+    out += [((new, y), live) for y, live in _group(T[after], at, floor)]
+    return out
+
+
+def _tally(ids: np.ndarray):
+    """(id, occurrences) for each token id (>= 0) in `ids`."""
+    ids = ids[ids >= 0]
+    if not len(ids):
+        return []
+    tally = np.bincount(ids)
+    hit = np.flatnonzero(tally)
+    return zip(hit.tolist(), tally[hit].tolist())
+
+
+def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, array]]:
+    """Each token id (>= 0) that occurs `floor` times in `ids`, with its
+    positions from the ascending `where`, in one pass."""
+    ok = ids >= 0
+    ids, where = ids[ok], where[ok]
+    if not len(ids):
+        return []
+    ok = np.bincount(ids)[ids] >= floor
+    groups: dict[int, list[int]] = {}
+    for x, q in zip(ids[ok].tolist(), where[ok].tolist()):
+        groups.setdefault(x, []).append(q)
+    return [(x, array("i", qs)) for x, qs in groups.items()]
 
 
 def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:

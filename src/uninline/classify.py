@@ -93,18 +93,20 @@ def predict_prior(model: PriorModel, window: WindowInstance, seed: int, position
     each draw a pure function of (seed, position).
     """
     del window
-    u = np.random.default_rng((seed, position)).random()
-    cum = np.cumsum(model.probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return model.labels[min(idx, len(model.labels) - 1)]
+    return _draw(model, np.cumsum(model.probs), seed, position)
 
 
 def predict_prior_sequence(
     model: PriorModel, windows: Sequence[WindowInstance], seed: int, start_position: int = 0
 ) -> list[str]:
-    return [
-        predict_prior(model, w, seed, start_position + i) for i, w in enumerate(windows)
-    ]
+    cum = np.cumsum(model.probs)
+    return [_draw(model, cum, seed, start_position + i) for i in range(len(windows))]
+
+
+def _draw(model: PriorModel, cum: np.ndarray, seed: int, position: int) -> str:
+    u = np.random.default_rng((seed, position)).random()
+    idx = int(np.searchsorted(cum, u, side="right"))
+    return model.labels[min(idx, len(model.labels) - 1)]
 
 
 @dataclass(frozen=True, eq=False)

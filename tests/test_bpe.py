@@ -8,12 +8,14 @@ import re
 import sys
 import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uninline import bpe
 from uninline.bpe import (
     BASE_TOKENS,
     BpeVocab,
@@ -151,6 +153,46 @@ _DOC = st.lists(st.sampled_from(b"aaaabb\n "), max_size=30).map(bytes)
 def test_train_matches_loop_oracle(corpus, limit, min_frequency) -> None:
     vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
     assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
+
+
+# runs of one byte, odd and even, and abab... alternations: merges with
+# chains of overlapping sites, with sites on both sides of the array-step
+# constant, and with sites whose left neighbour the site before merged
+_PIECE = st.one_of(
+    st.builds(lambda byte, n: bytes([byte]) * n, st.sampled_from(b"ab"), st.integers(1, 150)),
+    st.integers(1, 80).map(lambda n: b"ab" * n),
+    st.sampled_from([b"", b"a", b"b", b"\n"]),
+)
+_RUN_DOC = st.lists(_PIECE, max_size=5).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=st.lists(st.one_of(_RUN_DOC, st.sampled_from([b"", b"a", b"b"])), max_size=6),
+       limit=st.integers(257, 290), min_frequency=st.integers(1, 3),
+       array_sites=st.sampled_from([1, bpe._ARRAY_MERGE_SITES]))
+@example(corpus=[b"a" * 129, b"", b"a" * 128], limit=290, min_frequency=1, array_sites=64)
+@example(corpus=[b"ab" * 70 + b"a", b"b", b"ba" * 65], limit=290, min_frequency=2,
+         array_sites=64)
+@example(corpus=[b"aab" * 40, b"a", b"abb" * 40], limit=290, min_frequency=3, array_sites=1)
+@example(corpus=[b"aaababaaa"], limit=263, min_frequency=1, array_sites=1)  # stale sites
+# (b, a) loses 69 of its 81 sites to the first merge, (a, b), and is merged later
+@example(corpus=[b"ab" * 70, b"ab\n" * 20] + [b"ba"] * 12, limit=270, min_frequency=1,
+         array_sites=64)
+def test_array_step_matches_loop_oracle(corpus, limit, min_frequency, array_sites) -> None:
+    # at 1, every merge is applied as array operations, however few its sites
+    with mock.patch.object(bpe, "_ARRAY_MERGE_SITES", array_sites):
+        vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
+    assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
+
+
+def test_array_step_matches_loop_oracle_over_thousands_of_sites() -> None:
+    corpus = [b"a" * 4097, b"", b"ab" * 3001 + b"a", b"b", b"b" * 3000 + b"ab" * 999,
+              b"aab" * 1500, b"a"]
+    counts = Counter(pair for doc in corpus for pair in zip(doc, doc[1:]))
+    assert min(counts.values()) > 2000
+    vocab = train_bpe(corpus, vocab_size=300, min_frequency=2)
+    assert len(vocab.merges) > 20
+    assert vocab.merges == _loop_merges(corpus, 300, 2)
 
 
 def _identifier_corpus(seed: int, docs: int, lines: int) -> list[str]:

@@ -66,6 +66,9 @@ def test_prior_replay_is_identical() -> None:
     second = predict_prior_sequence(model, ws, seed=42)
     assert first == second
     assert first != predict_prior_sequence(model, ws, seed=43)
+    # a sequence draws what single draws at the same positions draw
+    assert first == [predict_prior(model, w, seed=42, position=i) for i, w in enumerate(ws)]
+    assert predict_prior_sequence(model, ws[:50], seed=42, start_position=7) == first[7:57]
 
 
 def test_prior_degenerate_always_empty() -> None:

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import shlex
 import sys
 
 import pytest
 from conftest import make_body
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from uninline import cli, coalesce, combine, corpus, markers, windows
+from uninline import bpe, cli, coalesce, combine, corpus, markers, windows
 from uninline.combine import FunctionRecovery, RecoveryMultiset
 from uninline.corpus import DecompiledFunction, FunctionId
 
@@ -577,3 +581,84 @@ def test_version_flag(capsys) -> None:
         cli.run(["--version"])
     assert exc.value.code == 0
     assert "uninline" in capsys.readouterr().out
+
+
+# ---- malformed JSONL at every record-reading stage
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_RAW_LINE = st.one_of(
+    st.sampled_from([b"", b"{", b"[1, 2]", b"null", b'"x"', b"{}", b"1e999", b'{"a": NaN}',
+                     b"\xff\xfe", b"\x00"]),
+    st.binary(max_size=12).filter(lambda raw: b"\n" not in raw and b"\r" not in raw))
+
+
+@st.composite
+def _jsonl(draw, good: dict) -> bytes:
+    """Lines of `good` records, each kept, or with a field dropped, retyped
+    or given a retyped element, or with an extra field, or replaced by a
+    raw line that may be no JSON, a non-object, or invalid UTF-8."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        record = json.loads(json.dumps(good))
+        key = draw(st.sampled_from(sorted(record)))
+        how = draw(st.sampled_from(["keep", "drop", "retype", "element", "extra", "raw"]))
+        if how == "raw":
+            lines.append(draw(_RAW_LINE))
+            continue
+        if how == "drop":
+            del record[key]
+        elif how == "retype":
+            record[key] = draw(_JSON)
+        elif how == "element" and isinstance(record[key], list) and record[key]:
+            record[key][draw(st.integers(0, len(record[key]) - 1))] = draw(_JSON)
+        elif how == "extra":
+            record[draw(st.text(max_size=4))] = draw(_JSON)
+        lines.append(json.dumps(record).encode())
+    return b"\n".join(lines) + b"\n"
+
+
+_LABELED = {**FUNCTION, "lines": list(RECONCILE_LINES), "true_labels": [["sprintf", 5]],
+            "recovered": ["sprintf"]}
+_FUZZ_INPUT = {"reconcile": _LABELED, "windows": _LABELED, "rebalance": WINDOW, "fit": WINDOW,
+               "coalesce": LABELS, "combine": RECOVERY, "score": RECOVERY}
+
+
+@st.composite
+def _malformed_stage_input(draw):
+    stage = draw(st.sampled_from(sorted(_FUZZ_INPUT)))
+    good = _FUZZ_INPUT[stage]
+    other = draw(st.one_of(st.just(json.dumps(good).encode() + b"\n"), _jsonl(good)))
+    return stage, draw(_jsonl(good)), other
+
+
+# the autouse run root is shared by the examples: each stage only appends a manifest line
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_malformed_stage_input())
+def test_malformed_jsonl_exits_0_or_2_never_a_traceback(tmp_path, case) -> None:
+    stage, data, other = case
+    path, second, out = tmp_path / "in.jsonl", tmp_path / "other.jsonl", tmp_path / "out"
+    path.write_bytes(data)
+    second.write_bytes(other)
+    targets, vocab = tmp_path / "targets.txt", tmp_path / "vocab.txt"
+    targets.write_text("sprintf\nmemset\n")
+    bpe.save_vocab(vocab, bpe.train_bpe(["{\n}", "int f(void)"], vocab_size=260,
+                                        min_frequency=1))
+    argv = {
+        "reconcile": ["--functions", path, "--targets", targets, "--optlevel", "O2",
+                      "--truth-out", second, "--recovered-out", tmp_path / "rec.jsonl",
+                      "--out", out],
+        "windows": ["--functions", path, "--out", out],
+        "rebalance": ["--windows", path, "--out", out],
+        "fit": ["--kind", "token-stats", "--windows", path, "--vocab", vocab, "--out", out],
+        "coalesce": ["--labels", path, "--out", out],
+        "combine": ["--model", path, "--decompiler", second, "--out", out],
+        "score": ["--pred", path, "--truth", second, "--report", out],
+    }[stage]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run([stage, *map(str, argv)])
+    assert rc in (0, 2)
