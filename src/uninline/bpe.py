@@ -35,6 +35,10 @@ two bytes beside it, so the stream's cuts inside a text are the text's
 own, and its ids equal those of the rank-by-rank rescan of the text
 alone, whatever was encoded before; `tests/test_bpe.py` keeps the
 rescan as the oracle. A text that agrees nowhere starts a new stream.
+`encode_span` gives a text's place on the stream instead of its ids:
+the partial segments at its two ends, and the range of the stream's
+token list between them, which a caller can sum over without copying.
+`encode` joins the three.
 
 Text enters and leaves through utf-8 with surrogateescape, so
 decode(encode(text)) is the identity even for text that round-trips
@@ -62,7 +66,7 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from pathlib import Path
 from threading import Lock
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -81,9 +85,16 @@ def _to_bytes(text: str | bytes) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
-def _check_merge(rank: int, pair: tuple[int, int], where: str = "") -> None:
-    if not all(0 <= t < BASE_TOKENS + rank for t in pair):
-        raise ValueError(f"{where}merge {rank} references an id not yet defined: {pair}")
+def _first_undefined(merges: Sequence[tuple[int, int]]) -> int | None:
+    """Rank of the first merge that references an id not defined before it."""
+    for rank, (a, b) in enumerate(merges):
+        if not (0 <= a < BASE_TOKENS + rank and 0 <= b < BASE_TOKENS + rank):
+            return rank
+    return None
+
+
+def _undefined(merges: Sequence[tuple[int, int]], rank: int) -> str:
+    return f"merge {rank} references an id not yet defined: {merges[rank]}"
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,9 @@ class BpeVocab:
     def __post_init__(self):
         if BASE_TOKENS + len(self.merges) > self.vocab_size_limit:
             raise ValueError("more merges than the vocabulary limit allows")
-        for rank, pair in enumerate(self.merges):
-            _check_merge(rank, pair)
+        rank = _first_undefined(self.merges)
+        if rank is not None:
+            raise ValueError(_undefined(self.merges, rank))
 
     @property
     def size(self) -> int:
@@ -330,33 +342,46 @@ def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
     so the input is cut between every such pair and each segment is
     encoded alone: a merge that is the lowest rank left in the whole
     text is also the lowest in each segment holding it. Segment ids are
-    memoized on the vocabulary object.
+    memoized on the vocabulary object. The ids are those of the span
+    form, `encode_span`, joined.
+    """
+    head, toks, lo, hi, tail = encode_span(vocab, text)
+    return head if toks is None else [*head, *toks[lo:hi], *tail]
 
-    The text is laid on the vocabulary's byte stream (see `_Chain`): at
-    the first line start where the two agree byte for byte as far as
-    they overlap, or else on a new stream, and only the bytes it adds
-    are cut. A cut depends only on the two bytes beside it, so the
-    text's own cuts are the stream's cuts strictly inside it, and its
-    ids are the partial segment up to its first cut, the stream's ids
-    of the whole segments between, and the partial segment from its
-    last cut. The ids never depend on which texts were encoded before.
+
+def encode_span(vocab: BpeVocab, text: str | bytes):
+    """Where `text` lies on the vocabulary's byte stream: (head, toks, lo, hi, tail).
+
+    The ids of `text` are head + toks[lo:hi] + tail. `toks` is the
+    stream's token list; it only grows while the stream lasts, so the
+    span stays valid, and a new stream brings a new list. `toks` is
+    None when the text lies on no indexed stream; its ids are then all
+    in `head`, a fresh list.
+
+    The text is laid on the stream (see `_Chain`): at the first line
+    start where the two agree byte for byte as far as they overlap, or
+    else on a new stream, and only the bytes it adds are cut. A cut
+    depends only on the two bytes beside it, so the text's own cuts are
+    the stream's cuts strictly inside it, and its ids are the partial
+    segment up to its first cut (head), the stream's ids of the whole
+    segments between, and the partial segment from its last cut (tail).
+    The ids never depend on which texts were encoded before.
     """
     raw = _to_bytes(text)
     laid = vocab._chain
     with laid.lock:
         a = laid.find(raw)
         if a < 0:
-            return laid.restart(vocab, raw)
+            return laid.restart(vocab, raw), None, 0, 0, ()
         laid.extend(vocab, raw, a)
-        cuts = laid.cuts
+        cuts, toks = laid.cuts, laid.toks
         k1 = bisect_left(cuts, a)
         k2 = bisect_right(cuts, a + len(raw)) - 1
         if k1 > k2:
-            return list(_segment_ids(vocab, raw))
-        out = list(_segment_ids(vocab, raw[:cuts[k1] - a]))
-        out += laid.toks[laid.tok_at[k1]:laid.tok_at[k2]]
-        out += _segment_ids(vocab, raw[cuts[k2] - a:])
-        return out
+            return _segment_ids(vocab, raw), toks, 0, 0, ()
+        lo, hi = laid.tok_at[k1], laid.tok_at[k2]
+        return (_segment_ids(vocab, raw[:cuts[k1] - a]), toks, lo, hi,
+                _segment_ids(vocab, raw[cuts[k2] - a:]))
 
 
 class _Chain:
@@ -522,17 +547,13 @@ def decode(vocab: BpeVocab, ids: Sequence[int]) -> str:
     return raw.decode("utf-8", "surrogateescape")
 
 
+# the escaped text of each byte: printable ASCII but backslash as is
+_ESCAPES = tuple("\\\\" if byte == 0x5C else chr(byte) if 0x20 < byte < 0x7F else f"\\x{byte:02x}"
+                 for byte in range(256))
+
+
 def _escape(token: bytes) -> str:
-    out = []
-    for byte in token:
-        ch = chr(byte)
-        if byte in (0x5C,):
-            out.append("\\\\")
-        elif 0x20 < byte < 0x7F:
-            out.append(ch)
-        else:
-            out.append(f"\\x{byte:02x}")
-    return "".join(out)
+    return "".join([_ESCAPES[byte] for byte in token])
 
 
 def save_vocab(path: str | Path, vocab: BpeVocab) -> None:
@@ -548,45 +569,67 @@ def save_vocab(path: str | Path, vocab: BpeVocab) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _parse_int(text: str, where: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{where}: expected an integer, not {text!r}") from None
+        raise ValueError(f"expected an integer, not {text!r}") from None
+
+
+def _ints(fields: list[str]) -> list[int]:
+    try:
+        return [*map(int, fields)]
+    except ValueError:
+        return [_parse_int(f) for f in fields]  # raises, naming the first bad field
 
 
 def load_vocab(path: str | Path) -> BpeVocab:
+    """Read a vocabulary file; an error names the `path:line` it is on.
+
+    A merge's ids are checked once, when the vocabulary is built, so a
+    merge that references an undefined id is reported wherever another
+    error would be raised first, as the first error in file order.
+    """
     limit = DEFAULT_VOCAB_SIZE
     min_freq = DEFAULT_MIN_FREQUENCY
     merges: list[tuple[int, int]] = []
+    merge_lines: list[int] = []
     id_table: dict[int, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        where = f"{path}:{lineno}"
-        line = raw.rstrip("\n")
+
+    def fail(where: str, error: Exception | str) -> NoReturn:
+        rank = _first_undefined(merges)
+        if rank is not None:
+            where, error = f"{path}:{merge_lines[rank]}", _undefined(merges, rank)
+        raise ValueError(f"{where}: {error}") from None
+
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        if line.startswith("#"):
-            parts = line[1:].split("\t")
-            if len(parts) == 2 and parts[0].strip() == "vocab_size_limit":
-                limit = _parse_int(parts[1], where)
-            elif len(parts) == 2 and parts[0].strip() == "min_frequency":
-                min_freq = _parse_int(parts[1], where)
-            continue
-        fields = line.split("\t")
-        if len(fields) == 3:
-            rank, a, b = (_parse_int(f, where) for f in fields)
-            if rank != len(merges):
-                raise ValueError(f"{where}: merge ranks out of order")
-            _check_merge(rank, (a, b), f"{where}: ")
-            merges.append((a, b))
-        elif len(fields) == 2:
-            id_table[_parse_int(fields[0], where)] = fields[1]
-        else:
-            raise ValueError(f"{where}: expected 2 or 3 tab-separated fields")
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split("\t")
+                if len(parts) == 2 and parts[0].strip() == "vocab_size_limit":
+                    limit = _parse_int(parts[1])
+                elif len(parts) == 2 and parts[0].strip() == "min_frequency":
+                    min_freq = _parse_int(parts[1])
+                continue
+            fields = line.split("\t")
+            if len(fields) == 3:
+                rank, a, b = _ints(fields)
+                if rank != len(merges):
+                    raise ValueError("merge ranks out of order")
+                merges.append((a, b))
+                merge_lines.append(lineno)
+            elif len(fields) == 2:
+                id_table[_parse_int(fields[0])] = fields[1]
+            else:
+                raise ValueError("expected 2 or 3 tab-separated fields")
+        except ValueError as exc:
+            fail(f"{path}:{lineno}", exc)
     try:
         vocab = BpeVocab(tuple(merges), vocab_size_limit=limit, min_frequency=min_freq)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        fail(str(path), exc)
     if id_table:
         expected = {i: _escape(tok) for i, tok in enumerate(vocab.token_bytes())}
         if id_table != expected:

@@ -7,7 +7,9 @@ Three interchangeable kinds:
   replayed run reproduces every label.
 * token_stats: additive-smoothed per-label token statistics; predicts
   the label maximizing log prior + sum of token log-likelihoods, ties
-  toward EMPTY then lexicographic order.
+  toward EMPTY then lexicographic order. `predict_token_stats` scores
+  one window; `predict_token_stats_batch` scores many from prefix sums
+  over the byte streams they share and gives the same labels.
 * external: a separate process or socket speaking a newline-delimited
   JSON protocol; this module tokenizes, the endpoint labels.
 
@@ -39,7 +41,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .bpe import BpeVocab, encode
+from .bpe import BpeVocab, encode, encode_span
 from .jsonl import atomic_write
 from .windows import EMPTY, WindowInstance
 
@@ -166,12 +168,109 @@ def fit_token_stats(
 
 
 def predict_token_stats(model: TokenStatsModel, window: WindowInstance) -> str:
-    ids = encode(model.vocab, window.text)
+    return _top_label(model, encode(model.vocab, window.text))
+
+
+def _top_label(model: TokenStatsModel, ids: Sequence[int]) -> str:
+    """The label of the largest log prior plus summed token log-likelihoods."""
     scores = model._log_priors.copy()
     if ids:
         scores += model._log_likelihood[:, ids].sum(axis=1)
     # argmax takes the first maximum; label order already favors EMPTY
     return model.labels[int(np.argmax(scores))]
+
+
+# unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def predict_token_stats_batch(model: TokenStatsModel,
+                              windows: Iterable[WindowInstance]) -> list[str]:
+    """`predict_token_stats` of each window, scored one byte stream at a time.
+
+    `bpe.encode_span` says where each window lies on the vocabulary's
+    stream: its ids are head + toks[lo:hi] + tail. For each stream, one
+    cumulative sum P of log-likelihoods runs over ids = [0, *toks,
+    every window's head and tail ids], so a window's score is prior +
+    (P[hi] - P[lo]) + (P[e1] - P[e0]), where ids[e0 + 1..e1] are its
+    head and tail. A stream is scored and dropped when the next one
+    starts, so memory is bounded by one body.
+
+    The labels are those of `predict_token_stats`, exactly. Any
+    summation order of m terms is within gamma_m * sum|terms| of the
+    exact sum, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4). Both the prefix path
+    and the direct sum are such orders over at most m = 4 * len(ids) + 1
+    terms, and no term is positive, so a window's sum|terms| for a label
+    is at most its mass, |prior| - (P[hi] + P[lo] + P[e1] + P[e0]), up
+    to a factor 1 + gamma_m. Where the top score leads the second by
+    more than 16 * gamma_m times the largest mass (two scores, each off
+    by both paths' errors, with room for the rounding of the mass and
+    the margin), both paths rank the same label first. A window inside
+    that margin, exact ties included, is scored directly from its ids,
+    as `predict_token_stats` scores it. A window that lies on no
+    indexed stream (the first window of each body) goes to
+    `predict_token_stats` itself, which finds it at the start of the
+    stream it began. A label with a -inf prior (never seen in training)
+    scores -inf on both paths, so it never enters the margin.
+    """
+    priors, lik = model._log_priors.tolist(), model._log_likelihood
+    seen = [p for p in priors if p > -np.inf]
+    # the bound needs no positive term and no NaN; maxima are taken by argmax
+    # throughout, a kernel the direct path already pages in
+    batchable = bool(seen) and all(p <= 0 for p in priors) and lik.flat[lik.argmax()] < 0
+    prior_mass = -min(seen, default=0.0)
+    labels: list[str] = []
+    stream, spans = None, []
+    for w in windows:
+        head, toks, lo, hi, tail = encode_span(model.vocab, w.text)
+        if toks is None:  # the window now lies on the stream it started
+            labels.append(predict_token_stats(model, w))
+            continue
+        if not batchable:
+            labels.append(_top_label(model, [*head, *toks[lo:hi], *tail]))
+            continue
+        if toks is not stream:
+            _score_stream(model, prior_mass, stream, spans, labels)
+            stream, spans = toks, []
+        spans.append((len(labels), head, lo, hi, tail))
+        labels.append(EMPTY)
+    _score_stream(model, prior_mass, stream, spans, labels)
+    return labels
+
+
+def _score_stream(model: TokenStatsModel, prior_mass: float, toks, spans,
+                  labels: list[str]) -> None:
+    """Fill in the labels of the windows `spans` that lie on the stream `toks`."""
+    if not spans:
+        return
+    # P[k] sums ids[0..k] and toks[t] is ids[t + 1]: toks[lo:hi] sums to
+    # P[hi] - P[lo], and a window's edge ids, ids[e0 + 1..e1], to P[e1] - P[e0]
+    ids = [0, *toks[:max(span[3] for span in spans)]]
+    ends: list[list[int]] = [[], [], [], []]  # hi, lo, e1, e0 of each window
+    for _, head, lo, hi, tail in spans:
+        e0 = len(ids) - 1
+        for end, at in zip(ends, (hi, lo, e0 + len(head) + len(tail), e0)):
+            end.append(at)
+        ids += head
+        ids += tail
+    m = 4 * len(ids) + 1
+    gamma = m * _U / (1 - m * _U) if m * _U < 0.01 else np.inf
+    P = model._log_likelihood[:, ids]
+    np.cumsum(P, axis=1, out=P)
+    p_hi, p_lo, p_e1, p_e0 = (P[:, end] for end in ends)
+    del P
+    scores = model._log_priors[:, None] + ((p_hi - p_lo) + (p_e1 - p_e0))
+    mass = prior_mass - (p_hi + p_lo + p_e1 + p_e0)
+    cols = np.arange(len(spans))
+    best = scores.argmax(axis=0)
+    top = scores[best, cols]
+    scores[best, cols] = -np.inf
+    margins = (top - scores[scores.argmax(axis=0), cols]).tolist()
+    masses = mass[mass.argmax(axis=0), cols].tolist()
+    for (i, head, lo, hi, tail), b, margin, most in zip(spans, best.tolist(), margins, masses):
+        labels[i] = (model.labels[b] if margin > 16 * gamma * most
+                     else _top_label(model, [*head, *toks[lo:hi], *tail]))
 
 
 class ExternalProtocolError(RuntimeError):
@@ -275,6 +374,10 @@ def spawn_external(
             proc.stdout.close()
 
 
+# one token_counts triple, indented as json.dumps(indent=1) indents it
+_TRIPLE = "  [\n   %d,\n   %d,\n   %d\n  ]"
+
+
 def save_model(path: str | Path, model: PriorModel | TokenStatsModel) -> None:
     if isinstance(model, PriorModel):
         obj = {
@@ -283,20 +386,25 @@ def save_model(path: str | Path, model: PriorModel | TokenStatsModel) -> None:
             "probs": [float(p) for p in model.probs],
         }
     elif isinstance(model, TokenStatsModel):
-        rows, cols = np.nonzero(model.token_counts)
         obj = {
             "kind": "token_stats",
             "alpha": model.alpha,
             "vocab_size": model.vocab.size,
             "labels": list(model.labels),
             "window_counts": [int(c) for c in model.window_counts],
-            "token_counts": [
-                [int(r), int(c), int(model.token_counts[r, c])] for r, c in zip(rows, cols)
-            ],
+            "token_counts": [],
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    if isinstance(model, TokenStatsModel) and model.token_counts.any():
+        # the (row, col, count) triples, as json.dumps(indent=1) lays them out, at
+        # a fraction of the cost of its pure-Python indenting encoder
+        rows, cols = np.nonzero(model.token_counts)
+        triples = zip(rows.tolist(), cols.tolist(), model.token_counts[rows, cols].tolist())
+        listed = ",\n".join([_TRIPLE % triple for triple in triples])
+        text = text.replace('\n "token_counts": []', f'\n "token_counts": [\n{listed}\n ]', 1)
+    atomic_write(path, text)
 
 
 def load_model(path: str | Path, vocab: BpeVocab | None = None) -> PriorModel | TokenStatsModel:

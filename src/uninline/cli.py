@@ -252,7 +252,7 @@ def _cmd_predict(args) -> int:
             seeds = {"seed": args.seed}
             labels = classify.predict_prior_sequence(model, pool, args.seed)
         else:
-            labels = [classify.predict_token_stats(model, w) for w in pool]
+            labels = classify.predict_token_stats_batch(model, pool)
     sequences = []
     offset = 0
     for fid, ws in groups:

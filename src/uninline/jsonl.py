@@ -32,11 +32,25 @@ def _nonblank(path: str | Path) -> Iterator[tuple[int, str]]:
                     yield lineno, line
 
 
+# the C scanner under json.loads, called directly: a stripped line is one
+# JSON value when the scan ends at its end
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one decoded object per non-blank line."""
+    """Yield one decoded object per non-blank line.
+
+    A line the scanner refuses, or does not end, is decoded again with
+    `json.loads`, which raises the error it names.
+    """
     for lineno, line in _nonblank(path):
         try:
-            obj = json.loads(line)
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        try:
+            if end != len(line):
+                obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: bad JSON record: {exc}") from None
         if not isinstance(obj, dict):
@@ -63,8 +77,12 @@ def read_records(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     return records
 
 
+# one encoder for every line: json.dumps builds a new one per call when given options
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
+
+
 def dump_line(record: Mapping[str, Any]) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+    return _encode(record)
 
 
 @contextlib.contextmanager

@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+import json
 import math
+import pickle
+import random
 import subprocess
 import sys
+import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uninline.bpe import encode, train_bpe
+from uninline import classify
+from uninline.bpe import BpeVocab, encode, train_bpe
 from uninline.classify import (
     ExternalProtocolError,
     PriorModel,
+    TokenStatsModel,
     fit_prior,
     fit_token_stats,
     load_model,
     predict_prior,
     predict_prior_sequence,
     predict_token_stats,
+    predict_token_stats_batch,
     save_model,
     spawn_external,
 )
@@ -174,6 +184,129 @@ def test_token_stats_requires_positive_alpha() -> None:
         fit_token_stats(TOKEN_TRAIN, vocab, alpha=0.0)
 
 
+# lines of few distinct characters, so windows of different bodies often share lines
+_LINE = st.text(alphabet="aab; \xe9", max_size=6)
+
+
+@st.composite
+def _batch_cases(draw):
+    """A random vocabulary and model, and windows in the orders predict may see them.
+
+    Each body is slid over by a window of height 1-6 and stride 1-3, its
+    windows kept in order, reversed or shuffled; unrelated and empty
+    texts go between them. The model is fitted on windows of the bodies
+    with random labels and random unseen labels (-inf priors); or every
+    label row is a copy of the first, so every window ties; or two
+    labels swap the counts of two tokens, so near-ties abound.
+    """
+    bodies = draw(st.lists(st.lists(_LINE, min_size=1, max_size=12), min_size=1, max_size=3))
+    vocab = train_bpe(["\n".join(body) for body in bodies],
+                      vocab_size=draw(st.integers(257, 320)), min_frequency=1)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for body in bodies:
+        height, stride = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+        slid = [_w("\n".join(body[i:i + height]), start=i)
+                for i in range(0, max(1, len(body) - height + 1), stride)]
+        order = draw(st.sampled_from(["forward", "reversed", "shuffled"]))
+        if order == "reversed":
+            slid.reverse()
+        elif order == "shuffled":
+            rng.shuffle(slid)
+        windows += slid
+    for _ in range(draw(st.integers(0, 4))):
+        other = _w("\n".join(draw(st.lists(_LINE, max_size=4))))
+        windows.insert(rng.randint(0, len(windows)), other)
+    train = [_w(w.text, rng.choice([EMPTY, "memset", "strcpy"])) for w in windows]
+    unseen = draw(st.lists(st.sampled_from(["zeta", "omega"]), max_size=2))
+    model = fit_token_stats(train, vocab, alpha=draw(st.sampled_from([0.5, 1.0, 1.7])),
+                            extra_labels=unseen)
+    kind = draw(st.sampled_from(["fitted", "ties", "swapped"]))
+    counts, window_counts = model.token_counts.copy(), model.window_counts.copy()
+    if kind == "ties" and len(model.labels) > 1:
+        counts[:] = counts[0]
+        window_counts[:] = max(window_counts[0], 1)
+    elif kind == "swapped" and len(model.labels) > 1:
+        x, y = rng.sample(range(vocab.size), 2)
+        counts[1] = counts[0]
+        counts[1, [x, y]] = counts[0, [y, x]]
+        window_counts[1] = window_counts[0] = max(window_counts[0], 1)
+    model = TokenStatsModel(model.labels, model.alpha, vocab, window_counts, counts)
+    return model, windows, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_batch_cases())
+def test_batch_scoring_matches_per_window_scoring(case) -> None:
+    model, windows, kind = case
+    # an equal vocabulary object with a fresh stream, so the batch lays its
+    # windows on streams of its own
+    alone = TokenStatsModel(model.labels, model.alpha, pickle.loads(pickle.dumps(model.vocab)),
+                            model.window_counts, model.token_counts)
+    expected = [predict_token_stats(alone, w) for w in windows]
+    with mock.patch.object(classify, "_top_label", wraps=classify._top_label) as direct:
+        assert predict_token_stats_batch(model, windows) == expected
+    if kind == "ties" and len(model.labels) > 1:
+        assert direct.call_count == len(windows)  # no tie is settled by the prefix sums
+
+
+def test_batch_scoring_settles_rounding_ties_directly() -> None:
+    # two labels that swap the counts of "a" and "b" score every window
+    # of as many a's as b's alike, up to rounding; the prefix sums round
+    # differently from the direct sums, so the ties must be scored directly
+    vocab = BpeVocab(())
+    rng = random.Random(0)
+    for _ in range(5):
+        a, b = rng.sample(range(1, 1000), 2)
+        counts = np.zeros((2, vocab.size), dtype=np.int64)
+        counts[0, [ord("a"), ord("b")]] = a, b
+        counts[1, [ord("a"), ord("b")]] = b, a
+        model = TokenStatsModel((EMPTY, "x"), 1.0, vocab, np.array([5, 5]), counts)
+        body = ["".join(rng.choice(["ab", "ba"]) for _ in range(rng.randint(1, 6)))
+                for _ in range(60)]
+        windows = [_w("\n".join(body[i:i + 20]), start=i) for i in range(len(body) - 19)]
+        expected = [predict_token_stats(model, w) for w in windows]
+        assert predict_token_stats_batch(model, windows) == expected
+
+
+def test_batch_scoring_on_one_vocab_from_many_threads() -> None:
+    # each thread scores windows slid over its own body with one model, so
+    # the streams the spans point into are laid and replaced by other threads
+    vocab = _token_vocab()
+    model = fit_token_stats(TOKEN_TRAIN, vocab)
+    lines = [w.text for w in TOKEN_TRAIN] + ["MEMSETPAT(q, 0, 8);", "return 0;"]
+    bodies = [lines[i:] + lines[:i] for i in range(4)]
+    batches = [[_w("\n".join(body[j:j + 4]), start=j) for j in range(len(body) - 3)] * 10
+               for body in bodies]
+    expected = [[predict_token_stats(model, w) for w in batch] for batch in batches]
+    results: list = [None] * len(batches)
+
+    def work(k: int) -> None:
+        results[k] = predict_token_stats_batch(model, batches[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+def test_batch_scoring_of_no_windows_and_of_empty_texts() -> None:
+    vocab = _token_vocab()
+    model = fit_token_stats(TOKEN_TRAIN, vocab)
+    assert predict_token_stats_batch(model, []) == []
+    windows = [_w(""), _w(""), _w("iVar1 = iVar1 + 1;"), _w(""), _w("iVar1 = iVar1 + 1;")]
+    assert predict_token_stats_batch(model, windows) == [
+        predict_token_stats(model, w) for w in windows]
+
+
 def test_model_file_roundtrip_prior(tmp_path) -> None:
     model = fit_prior([_w("a")] * 3 + [_w("b", "memset")] * 1)
     path = tmp_path / "prior.json"
@@ -231,6 +364,29 @@ def _server(tmp_path, code: str) -> list[str]:
     path = tmp_path / "server.py"
     path.write_text(code)
     return [sys.executable, str(path)]
+
+
+@pytest.mark.parametrize("kind", ["fitted", "no-counts"])
+def test_token_stats_model_file_is_json_dumps_indent_1(tmp_path, kind) -> None:
+    # the token_counts triples are spliced in as text; the file must stay
+    # what json.dumps(indent=1, sort_keys=True) writes for the whole object
+    model = fit_token_stats(TOKEN_TRAIN, _token_vocab(), extra_labels=('say "hi"\n',))
+    if kind == "no-counts":
+        model = TokenStatsModel(model.labels, model.alpha, model.vocab, model.window_counts,
+                                np.zeros_like(model.token_counts))
+    rows, cols = np.nonzero(model.token_counts)
+    obj = {
+        "kind": "token_stats",
+        "alpha": model.alpha,
+        "vocab_size": model.vocab.size,
+        "labels": list(model.labels),
+        "window_counts": model.window_counts.tolist(),
+        "token_counts": [[int(r), int(c), int(model.token_counts[r, c])]
+                         for r, c in zip(rows, cols)],
+    }
+    path = tmp_path / "stats.json"
+    save_model(path, model)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
 def test_external_predict_and_unknown_label_mapping(tmp_path, caplog) -> None:
