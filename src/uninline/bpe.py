@@ -7,22 +7,24 @@ vocabulary limit is reached or no pair occurs min_frequency times.
 Pair frequencies count every adjacent position; application is
 left-to-right non-overlapping.
 
-Training never recounts. Byte pairs are counted once, and a merge
-adjusts the counts of the pairs beside each of its sites; a max-heap of
-(count, pair), checked against the true count when popped, picks the
-next merge. A merge only creates pairs that hold its new id, so every
-other pair only loses sites: a pair below min_frequency can never be
-merged, and is dropped the moment it falls there. Byte pairs keep no
-positions: a position that still holds a byte never absorbed its right
-neighbour, so one array scan for the two bytes side by side finds the
-live sites of a byte pair when it is merged. A pair born from a merge
-keeps the ascending array of its positions. A merge with few sites
-visits them one by one; one with many is applied as array operations
-(stale sites and every other site of an overlapping chain dropped,
-lost pairs tallied per pair, born pairs read off the merged stream),
-which give the same stream and counts. The merges, their order and
-their tie-breaks equal those of recounting every pair for each merge,
-which `tests/test_bpe.py` keeps as the oracle.
+Training never recounts. The documents are laid on one token stream
+and its byte pairs are counted once, both as array operations, and a
+merge adjusts the counts of the pairs beside each of its sites; a
+max-heap of (count, pair), checked against the true count when popped,
+picks the next merge. A merge only creates pairs that hold its new id,
+so every other pair only loses sites: a pair below min_frequency can
+never be merged, and is dropped the moment it falls there. Byte pairs
+keep no positions: a position that still holds a byte never absorbed
+its right neighbour, so one array scan for the two bytes side by side
+finds the live sites of a byte pair when it is merged. A pair born
+from a merge keeps the ascending array of its positions. A merge with
+few sites visits them one by one; one with many is applied as array
+operations (stale sites and every other site of an overlapping chain
+dropped, lost pairs tallied per pair, born pairs read off the merged
+stream and grouped by a stable sort), which give the same stream and
+counts. The merges, their order and their tie-breaks equal those of
+recounting every pair for each merge, which `tests/test_bpe.py` keeps
+as the oracle.
 
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
@@ -59,11 +61,10 @@ from __future__ import annotations
 import logging
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import accumulate
 from pathlib import Path
 from threading import Lock
 from typing import Iterable, NoReturn, Sequence
@@ -165,30 +166,33 @@ def train_bpe(
     """Learn merges over the documents until the size limit or frequency floor.
 
     All documents of two or more bytes form one token stream, each
-    preceded and followed by -1, which is in no pair. Tokens are linked
-    by `nxt`/`prv`; a position merged into its left neighbour holds -2.
-    Every pair at or above the floor keeps its count, and a heap holds
-    (-count, pair). A pair that holds a merged id also keeps the
-    ascending array of its left positions; a byte pair's are found by
-    a scan when it is merged.
+    preceded and followed by -1, which is in no pair. The stream is
+    allocated once at its final length and each document is copied in
+    through a numpy view of it; byte pairs are counted from that view,
+    a bounded chunk at a time. Tokens are linked by `nxt`/`prv`; a
+    position merged into its left neighbour holds -2. Every pair at or
+    above the floor keeps its count, and a heap holds (-count, pair).
+    A pair that holds a merged id also keeps the ascending array of its
+    left positions; a byte pair's are found by a scan when it is merged.
     """
     if vocab_size <= BASE_TOKENS:
         raise ValueError(f"vocab_size must exceed {BASE_TOKENS}")
     if min_frequency < 1:
         raise ValueError("min_frequency must be at least 1")
-    toks = array("i", [-1])
-    for raw in map(_to_bytes, corpus):
-        if len(raw) >= 2:
-            toks.extend(raw)
-            toks.append(-1)
+    docs = [raw for raw in map(_to_bytes, corpus) if len(raw) >= 2]
+    toks = array("i", [-1]) * (1 + sum(map(len, docs)) + len(docs))
+    T = np.frombuffer(toks, dtype=np.intc)
+    start = 1
+    for raw in docs:
+        T[start:start + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+        start += len(raw) + 1
+    del docs  # the stream is the only full-size copy from here on
     if len(toks) == 1:
         log.warning("empty corpus; vocabulary holds only the %d base byte tokens", BASE_TOKENS)
-    counts = {pair: count for pair, count in Counter(zip(toks, islice(toks, 1, None))).items()
-              if count >= min_frequency and min(pair) >= 0}
+    counts = _byte_pair_counts(T, min_frequency)
     nxt, prv = array("i"), array("i")
     nxt.frombytes(memoryview(np.arange(1, len(toks) + 1, dtype=np.intc)).cast("B"))
     prv.frombytes(memoryview(np.arange(-1, len(toks) - 1, dtype=np.intc)).cast("B"))
-    T = np.frombuffer(toks, dtype=np.intc)
     sites: dict[tuple[int, int], array] = {}
     heap = [(-count, pair) for pair, count in counts.items()]
     heapify(heap)
@@ -323,16 +327,61 @@ def _tally(ids: np.ndarray):
 
 def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, array]]:
     """Each token id (>= 0) that occurs `floor` times in `ids`, with its
-    positions from the ascending `where`, in one pass."""
+    positions from the ascending `where`, in ascending id order.
+
+    A stable sort by id keeps each group's positions ascending. The
+    groups come out in id order, not in order of first occurrence; the
+    trainer's choices do not depend on that order, because its heap
+    orders entries by (-count, pair) alone.
+    """
     ok = ids >= 0
     ids, where = ids[ok], where[ok]
     if not len(ids):
         return []
-    ok = np.bincount(ids)[ids] >= floor
-    groups: dict[int, list[int]] = {}
-    for x, q in zip(ids[ok].tolist(), where[ok].tolist()):
-        groups.setdefault(x, []).append(q)
-    return [(x, array("i", qs)) for x, qs in groups.items()]
+    tally = np.bincount(ids)
+    hit = np.flatnonzero(tally >= floor)
+    if not len(hit):
+        return []
+    kept = tally[ids] >= floor
+    ids, where = ids[kept], where[kept]
+    where = where[np.argsort(ids, kind="stable")].astype(np.intc, copy=False)
+    sizes = tally[hit].tolist()
+    return [(x, array("i", where[end - n:end].tobytes()))
+            for x, n, end in zip(hit.tolist(), sizes, accumulate(sizes))]
+
+
+# Byte pairs are counted this many stream positions at a time, so the
+# temporaries stay small whatever the corpus size
+_PAIR_CHUNK = 1 << 13
+
+
+def _byte_pair_counts(T: np.ndarray, floor: int) -> dict[tuple[int, int], int]:
+    """Each pair of adjacent bytes in the stream `T` that occurs `floor` times, with its count.
+
+    The m byte values present get dense codes 0..m-1 and the separator
+    -1 gets m, so a pair is one index into an (m + 1)² tally, not one
+    into 65,536 entries; a pair that holds the separator is in no
+    document and is dropped.
+    """
+    seen = np.zeros(BASE_TOKENS, dtype=np.intp)
+    for lo in range(0, len(T), _PAIR_CHUNK):
+        chunk = T[lo:lo + _PAIR_CHUNK]
+        seen += np.bincount(chunk[chunk >= 0], minlength=BASE_TOKENS)
+    byte_of = np.flatnonzero(seen)
+    m = len(byte_of)
+    width = m + 1
+    code = np.full(BASE_TOKENS + 1, m, dtype=np.intp)  # T's -1 reads the last entry
+    code[byte_of] = np.arange(m)
+    tally = np.zeros(width * width, dtype=np.intp)
+    for lo in range(0, len(T) - 1, _PAIR_CHUNK):
+        c = code[T[lo:lo + _PAIR_CHUNK + 1]]
+        pair = c[:-1] * width
+        pair += c[1:]
+        tally += np.bincount(pair, minlength=width * width)
+    tally = tally.reshape(width, width)[:m, :m]  # the separator's row and column dropped
+    left, right = np.nonzero(tally >= floor)
+    return dict(zip(zip(byte_of[left].tolist(), byte_of[right].tolist()),
+                    tally[left, right].tolist()))
 
 
 def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:

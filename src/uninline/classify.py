@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import subprocess
 from array import array
 from dataclasses import dataclass
@@ -408,26 +409,78 @@ def save_model(path: str | Path, model: PriorModel | TokenStatsModel) -> None:
 
 
 def load_model(path: str | Path, vocab: BpeVocab | None = None) -> PriorModel | TokenStatsModel:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model file; an error names the path and, for a bad value, its field.
+
+    Nothing is coerced: labels are distinct strings, probabilities and
+    the smoothing constant finite numbers, counts non-negative integers,
+    and each `token_counts` entry a [label row, token id, count] triple
+    for a cell inside the table that no other entry names.
+    """
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+        return _model_from_json(obj, vocab)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
+def _is_number(value) -> bool:
+    # bool is an int subclass; "2" and true are refused
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and 0 <= value <= _MAX_COUNT
+
+
+def _model_from_json(obj: dict, vocab: BpeVocab | None) -> PriorModel | TokenStatsModel:
     kind = obj.get("kind")
+    if kind not in ("prior", "token_stats"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    labels = obj["labels"]
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+            and len(set(labels)) == len(labels)):
+        raise ValueError("field 'labels' must be a list of distinct strings")
     if kind == "prior":
-        return PriorModel(tuple(obj["labels"]), np.asarray(obj["probs"], dtype=float))
-    if kind == "token_stats":
-        if vocab is None:
-            raise ValueError("loading a token-statistics model requires its vocabulary")
-        if vocab.size != obj["vocab_size"]:
-            raise ValueError(
-                f"vocabulary size {vocab.size} does not match the model's {obj['vocab_size']}"
-            )
-        labels = tuple(obj["labels"])
-        token_counts = np.zeros((len(labels), vocab.size), dtype=np.int64)
-        for r, c, n in obj["token_counts"]:
-            token_counts[r, c] = n
-        return TokenStatsModel(
-            labels,
-            float(obj["alpha"]),
-            vocab,
-            np.asarray(obj["window_counts"], dtype=np.int64),
-            token_counts,
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+        probs = obj["probs"]
+        if not (isinstance(probs, list) and all(_is_number(p) and p >= 0 for p in probs)):
+            raise ValueError("field 'probs' must be a list of non-negative numbers")
+        return PriorModel(tuple(labels), np.asarray(probs, dtype=float))
+    if vocab is None:
+        raise ValueError("loading a token-statistics model requires its vocabulary")
+    size = obj["vocab_size"]
+    if type(size) is not int:
+        raise ValueError(f"field 'vocab_size' must be an integer, not {size!r}")
+    if vocab.size != size:
+        raise ValueError(f"vocabulary size {vocab.size} does not match the model's {size}")
+    alpha = obj["alpha"]
+    if not (_is_number(alpha) and alpha > 0):
+        raise ValueError(f"field 'alpha' must be a positive number, not {alpha!r}")
+    window_counts = obj["window_counts"]
+    if not (isinstance(window_counts, list) and len(window_counts) == len(labels)
+            and all(map(_is_count, window_counts)) and any(window_counts)):
+        raise ValueError(f"field 'window_counts' must be {len(labels)} non-negative "
+                         "integers, one per label, not all zero")
+    triples = obj["token_counts"]
+    if not isinstance(triples, list):
+        raise ValueError("field 'token_counts' must be a list")
+    rows = len(labels)
+    token_counts = np.zeros((rows, size), dtype=np.int64)
+    for triple in triples:
+        if not (type(triple) is list and len(triple) == 3):
+            raise ValueError(f"field 'token_counts' holds {triple!r}, not [row, id, count]")
+        r, c, n = triple
+        if not (type(r) is type(c) is int and 0 <= r < rows and 0 <= c < size and _is_count(n)):
+            raise ValueError(f"field 'token_counts' holds {triple!r}: row, id or count "
+                             f"outside a {rows} by {size} table of non-negative integers")
+        token_counts[r, c] = n
+    if len({(r, c) for r, c, _ in triples}) != len(triples):
+        raise ValueError("field 'token_counts' lists a (row, id) cell twice")
+    return TokenStatsModel(tuple(labels), float(alpha), vocab,
+                           np.asarray(window_counts, dtype=np.int64), token_counts)

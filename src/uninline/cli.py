@@ -75,6 +75,8 @@ def _record_run(command: str, args: argparse.Namespace, inputs: Sequence[str | P
 
 
 def _cmd_inject(args) -> int:
+    if args.array_size < 1:
+        raise ValueError(f"--array-size must be at least 1, not {args.array_size}")
     targets = corpus.load_targets(args.targets)
     outputs = []
     for src_path in args.sources:

@@ -134,6 +134,8 @@ def inject_markers(
     own line directly above the call it marks, so stripping the inserted
     lines again restores the original file byte for byte.
     """
+    if array_size < 1:
+        raise ValueError(f"array_size must be at least 1, not {array_size}")  # C has no [0]
     if source.language is not Language.C:
         raise MarkerError(f"{source.path}: marker injection expects original C source")
     text = source.content.decode("utf-8", "surrogateescape")

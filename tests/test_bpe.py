@@ -195,6 +195,86 @@ def test_array_step_matches_loop_oracle_over_thousands_of_sites() -> None:
     assert vocab.merges == _loop_merges(corpus, 300, 2)
 
 
+# high bytes too: 0xc3 0xa9 is valid utf-8, 0x80 and 0xff never start a character
+_WIDE_DOC = st.lists(st.sampled_from(b"aab\x00\x80\xc3\xa9\xff"), max_size=12).map(bytes)
+
+
+@st.composite
+def _setup_corpora(draw):
+    """Documents of every length from 0, each as bytes or surrogate-escaped
+    str, with some of them repeated."""
+    docs = draw(st.lists(st.one_of(_WIDE_DOC, st.sampled_from([b"", b"a", b"\xff", b"ab"])),
+                         max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if docs:
+            docs.insert(draw(st.integers(0, len(docs))), draw(st.sampled_from(docs)))
+    as_str = draw(st.lists(st.booleans(), min_size=len(docs), max_size=len(docs)))
+    return [d.decode("utf-8", "surrogateescape") if s else d for d, s in zip(docs, as_str)]
+
+
+# each document is b + one distinct byte + a: the pair (a, b) across every
+# boundary would be the most frequent pair, but it lies in no document
+_BOUNDARY_DOCS = [bytes([98, byte, 97]) for byte in range(0x70, 0x90)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=_setup_corpora(), limit=st.integers(257, 300), min_frequency=st.integers(1, 3),
+       chunk=st.sampled_from([1, 2, 3, 7, bpe._PAIR_CHUNK]),
+       array_sites=st.sampled_from([1, bpe._ARRAY_MERGE_SITES]))
+@example(corpus=_BOUNDARY_DOCS * 2, limit=300, min_frequency=2, chunk=5, array_sites=1)
+@example(corpus=[b"\xff\xfe", "\udcff\udcfe", b"\xff\xfe\xff", "é\udcffé"], limit=300,
+         min_frequency=2, chunk=2, array_sites=1)
+@example(corpus=[b"ab", b"ab", b"a", b"", b"ab", b"b"], limit=300, min_frequency=3, chunk=1,
+         array_sites=64)
+def test_stream_setup_matches_loop_oracle(corpus, limit, min_frequency, chunk,
+                                          array_sites) -> None:
+    # small chunks put chunk edges at every place, separators included
+    with mock.patch.object(bpe, "_PAIR_CHUNK", chunk), \
+            mock.patch.object(bpe, "_ARRAY_MERGE_SITES", array_sites):
+        vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
+    assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
+
+
+def test_no_pair_is_counted_across_documents() -> None:
+    assert train_bpe(_BOUNDARY_DOCS, vocab_size=300, min_frequency=2).merges == ()
+    assert train_bpe([b"".join(_BOUNDARY_DOCS)], vocab_size=257,
+                     min_frequency=2).merges == ((97, 98),)
+
+
+def _loop_group(ids, where, floor):
+    """The grouping loop the stable sort replaced: one dict append per site."""
+    tally = Counter(x for x in ids if x >= 0)
+    groups = {}
+    for x, q in zip(ids, where):
+        if x >= 0 and tally[x] >= floor:
+            groups.setdefault(x, []).append(q)
+    return sorted(groups.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.sampled_from([-2, -1, 0, 7, 299, 300, 301]), max_size=300),
+       floor=st.integers(1, 4))
+@example(ids=[300, 299, -1, 300, 299, 7, 300, 299], floor=2)
+@example(ids=[301, 300, 299] * 100, floor=100)  # every id arrives in descending order
+def test_group_matches_loop_oracle(ids, floor) -> None:
+    where = np.arange(0, 3 * len(ids), 3, dtype=np.intc)  # ascending, as the trainer's are
+    groups = bpe._group(np.array(ids, dtype=np.intc), where, floor)
+    assert [(x, list(live)) for x, live in groups] == _loop_group(ids, where.tolist(), floor)
+
+
+# "ef" is merged fifth: the new token's left neighbours are "cd"'s id (257)
+# in the first half of the stream and "ab"'s (256) in the second, so its born
+# pairs reach the grouping in descending id order; "gh" and "ij" do the same
+# on the right; the loop alone groups them in order of first occurrence
+@pytest.mark.parametrize("array_sites", [1, 10**9], ids=["array-step", "loop"])
+def test_born_pairs_arriving_in_descending_id_order_match_loop_oracle(array_sites) -> None:
+    corpus = [b"cdefij"] * 40 + [b"abefgh"] * 40 + [b"ab", b"cd", b"gh", b"ij"] * 50
+    with mock.patch.object(bpe, "_ARRAY_MERGE_SITES", array_sites):
+        vocab = train_bpe(corpus, vocab_size=300, min_frequency=2)
+    assert vocab.merges[:5] == ((97, 98), (99, 100), (103, 104), (105, 106), (101, 102))
+    assert vocab.merges == _loop_merges(corpus, 300, 2)
+
+
 def _identifier_corpus(seed: int, docs: int, lines: int) -> list[str]:
     rng = random.Random(seed)
     syllables = ["ba", "ko", "ri", "tu", "me", "sa", "no", "vi", "xe", "lu", "qa", "zo"]

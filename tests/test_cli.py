@@ -249,6 +249,23 @@ def test_inject_command(tmp_path, capsys) -> None:
     assert rc == 2
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_inject_refuses_an_array_size_below_1(tmp_path, run_root, capsys, size) -> None:
+    src = tmp_path / "prog.c"
+    src.write_text("int main(void)\n{\n    return 0;\n}\n")  # no call sites
+    out_dir = tmp_path / "marked"
+    rc = cli.run(["inject", "--targets", str(tmp_path / "missing.txt"), "--out-dir",
+                  str(out_dir), "--array-size", size, str(src)])
+    assert rc == 2
+    # refused before the targets file is read, naming the option
+    assert f"error: --array-size must be at least 1, not {size}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert _manifest(run_root) == []
+    source = corpus.SourceFile(str(src), src.read_bytes(), corpus.Language.C)
+    with pytest.raises(ValueError, match="array_size"):
+        markers.inject_markers(source, corpus.TargetFunctionSet.from_names(["memset"]), 0)
+
+
 RECONCILE_LINES = (
     "undefined4 __cdecl doit(char *out)",
     "{",
@@ -422,6 +439,10 @@ FUNCTION = {"id": ["a.c", "f", 0], "lines": ["int f(void)", "{", "}"],
 RECOVERY = {"func_id": ["a.c", "f", 0], "counts": {"memset": 1}}
 WINDOW = {"func_id": ["a.c", "f", 0], "start": 0, "label": "memset", "text": "{\n}"}
 LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
+# over the 256 byte tokens of a vocabulary with no merges
+MODEL = {"kind": "token_stats", "alpha": 1.0, "vocab_size": 256, "labels": ["", "memset"],
+         "window_counts": [2, 1], "token_counts": [[0, 123, 3], [1, 10, 2]]}
+PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
 
 
 @pytest.mark.parametrize("record, field", [
@@ -451,16 +472,38 @@ LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
     ({**LABELS, "labels": [None, 3]}, "labels"),
     ({**LABELS, "labels": "memset"}, "labels"),
     ({**LABELS, "labels": [["memset"]]}, "labels"),
+    ({**MODEL, "token_counts": [[99, 10, 2]]}, "token_counts"),
+    ({**MODEL, "token_counts": [[-1, 10, 2]]}, "token_counts"),
+    ({**MODEL, "token_counts": [[1, 256, 2]]}, "token_counts"),
+    ({**MODEL, "token_counts": [[1, 10, 1.7]]}, "token_counts"),
+    ({**MODEL, "token_counts": [[1, 10]]}, "token_counts"),
+    ({**MODEL, "token_counts": [[1, 10, 2], [0, 5, 1], [1, 10, 5000]]}, "token_counts"),
+    ({**MODEL, "alpha": "2"}, "alpha"),
+    ({**MODEL, "window_counts": [-1, 3]}, "window_counts"),
+    ({**MODEL, "window_counts": [2]}, "window_counts"),
+    ({**MODEL, "window_counts": [0, 0]}, "window_counts"),
+    ({**MODEL, "labels": ["", 5]}, "labels"),
+    ({**MODEL, "vocab_size": "256"}, "vocab_size"),
+    ({**PRIOR, "probs": ["0.5", 0.5]}, "probs"),
+    ([MODEL], None),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
         "count-float", "count-string", "count-bool", "optlevel-number", "path-null", "name-number",
         "ordinal-float", "ordinal-bool", "recovery-ordinal-string", "anchor-float",
         "anchor-string", "label-name-number", "label-short", "recovered-number",
         "window-start-float", "window-start-string", "window-start-bool",
         "window-label-number", "window-text-null",
-        "labels-null-number", "labels-string", "labels-nested"])
+        "labels-null-number", "labels-string", "labels-nested",
+        "model-row-past-end", "model-row-negative", "model-id-past-end", "model-count-float",
+        "model-triple-short", "model-cell-repeated", "model-alpha-string",
+        "model-window-count-negative", "model-window-counts-short", "model-window-counts-zero",
+        "model-label-number", "model-vocab-size-string", "prior-probability-string",
+        "model-list"])
 def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
     path = tmp_path / "in.jsonl"
     out = tmp_path / "out.jsonl"
+    if isinstance(record, list) or "kind" in record:
+        _check_ill_typed_model(tmp_path, capsys, record, field)
+        return
     if "counts" in record:
         good, argv = RECOVERY, ["score", "--pred", str(path), "--truth", str(path),
                                 "--report", str(out)]
@@ -486,6 +529,29 @@ def _stage_reading(stage: str, path, out) -> list[str]:
         "score": ["score", "--pred", str(path), "--truth", str(path), "--report", str(out)],
         "windows": ["windows", "--functions", str(path), "--out", str(out)],
     }[stage]
+
+
+def _check_ill_typed_model(tmp_path, capsys, model, field) -> None:
+    """`predict --model` must refuse the model file, naming it and the field."""
+    vocab, win, path = tmp_path / "vocab.txt", tmp_path / "w.jsonl", tmp_path / "model.json"
+    bpe.save_vocab(vocab, bpe.BpeVocab(()))
+    win.write_text(json.dumps(WINDOW) + "\n")
+    good = PRIOR if isinstance(model, dict) and model["kind"] == "prior" else MODEL
+
+    def predict(out):
+        return cli.run(["predict", "--windows", str(win), "--model", str(path),
+                        "--vocab", str(vocab), "--out", str(out)])
+
+    path.write_text(json.dumps(good))
+    assert predict(tmp_path / "good.jsonl") == 0
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert predict(out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert f"'{field}'" in err if field else "expected a JSON object" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage, line", [
