@@ -25,7 +25,6 @@ from .classify import (
     fit_prior,
     fit_token_stats,
     load_model,
-    predict_prior,
     predict_prior_sequence,
     predict_token_stats,
     predict_token_stats_batch,

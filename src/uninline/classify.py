@@ -89,16 +89,6 @@ def fit_prior(train: Sequence[WindowInstance]) -> PriorModel:
     return PriorModel(labels, counts / counts.sum())
 
 
-def predict_prior(model: PriorModel, window: WindowInstance, seed: int, position: int = 0) -> str:
-    """Sample one label; window text is never read.
-
-    `position` is the window's index in the prediction sequence, making
-    each draw a pure function of (seed, position).
-    """
-    del window
-    return _draw(model, np.cumsum(model.probs), seed, position)
-
-
 def predict_prior_sequence(
     model: PriorModel, windows: Sequence[WindowInstance], seed: int, start_position: int = 0
 ) -> list[str]:
@@ -126,11 +116,17 @@ class TokenStatsModel:
         if self.token_counts.shape != (len(self.labels), self.vocab.size):
             raise ValueError("token count table shape disagrees with labels or vocabulary")
         totals = self.token_counts.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore"):
+        # a bad count or constant is refused by the value it gives, never by a warning:
+        # a NaN, an infinity or a log that is not negative
+        with np.errstate(all="ignore"):
             priors = np.log(self.window_counts / self.window_counts.sum())
-        lik = np.log((self.token_counts + self.alpha) / (totals + self.alpha * self.vocab.size))
-        if not np.isfinite(lik).all():
-            raise ValueError("smoothed token likelihoods must be finite")
+            lik = np.log((self.token_counts + self.alpha)
+                         / (totals + self.alpha * self.vocab.size))
+        # argmax takes a NaN as the maximum, and is the kernel the scorer uses
+        if not -np.inf < priors[priors.argmax()] <= 0:
+            raise ValueError("log priors must be finite for some label and never positive")
+        if not (np.isfinite(lik).all() and lik.flat[lik.argmax()] < 0):
+            raise ValueError("smoothed token log-likelihoods must be finite and negative")
         object.__setattr__(self, "_log_priors", priors)
         object.__setattr__(self, "_log_likelihood", lik)
 
@@ -202,12 +198,14 @@ def predict_token_stats_batch(model: TokenStatsModel,
     exact sum, gamma_m = m*u / (1 - m*u) (Higham, Accuracy and
     Stability of Numerical Algorithms, section 4). Both the prefix path
     and the direct sum are such orders over at most m = 4 * len(ids) + 1
-    terms, and no term is positive, so a window's sum|terms| for a label
-    is at most its mass, |prior| - (P[hi] + P[lo] + P[e1] + P[e0]), up
-    to a factor 1 + gamma_m. Where the top score leads the second by
-    more than 16 * gamma_m times the largest mass (two scores, each off
-    by both paths' errors, with room for the rounding of the mass and
-    the margin), both paths rank the same label first. A window inside
+    terms. No term is positive, an invariant `TokenStatsModel` checks
+    (every log-likelihood negative, no log prior positive), so a
+    window's sum|terms| for a label is at most its mass, |prior| -
+    (P[hi] + P[lo] + P[e1] + P[e0]), up to a factor 1 + gamma_m. Where
+    the top score leads the second by more than 16 * gamma_m times the
+    largest mass (two scores, each off by both paths' errors, with room
+    for the rounding of the mass and the margin), both paths rank the
+    same label first. A window inside
     that margin, exact ties included, is scored directly from its ids,
     as `predict_token_stats` scores it. A window that lies on no
     indexed stream (the first window of each body) goes to
@@ -215,21 +213,14 @@ def predict_token_stats_batch(model: TokenStatsModel,
     stream it began. A label with a -inf prior (never seen in training)
     scores -inf on both paths, so it never enters the margin.
     """
-    priors, lik = model._log_priors.tolist(), model._log_likelihood
-    seen = [p for p in priors if p > -np.inf]
-    # the bound needs no positive term and no NaN; maxima are taken by argmax
-    # throughout, a kernel the direct path already pages in
-    batchable = bool(seen) and all(p <= 0 for p in priors) and lik.flat[lik.argmax()] < 0
-    prior_mass = -min(seen, default=0.0)
+    # the largest |prior| of a label seen in training
+    prior_mass = -min(p for p in model._log_priors.tolist() if p > -np.inf)
     labels: list[str] = []
     stream, spans = None, []
     for w in windows:
         head, toks, lo, hi, tail = encode_span(model.vocab, w.text)
         if toks is None:  # the window now lies on the stream it started
             labels.append(predict_token_stats(model, w))
-            continue
-        if not batchable:
-            labels.append(_top_label(model, [*head, *toks[lo:hi], *tail]))
             continue
         if toks is not stream:
             _score_stream(model, prior_mass, stream, spans, labels)

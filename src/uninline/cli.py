@@ -122,29 +122,14 @@ def _cmd_reconcile(args) -> int:
     labeled = [markers.reconcile_function(rec, targets) for rec in records]
     corpus.write_functions(args.out, labeled)
     outputs = [args.out]
-    optlevel = args.optlevel
-    if args.truth_out:
-        combine.write_recoveries(
-            args.truth_out,
-            (
+    for path, counts in ((args.truth_out, "true_counts"),
+                         (args.recovered_out, "recovered_counts")):
+        if path:
+            combine.write_recoveries(path, (
                 combine.FunctionRecovery(
-                    r.id, combine.RecoveryMultiset(r.true_counts), optlevel
-                )
-                for r in labeled
-            ),
-        )
-        outputs.append(args.truth_out)
-    if args.recovered_out:
-        combine.write_recoveries(
-            args.recovered_out,
-            (
-                combine.FunctionRecovery(
-                    r.id, combine.RecoveryMultiset(r.recovered_counts), optlevel
-                )
-                for r in labeled
-            ),
-        )
-        outputs.append(args.recovered_out)
+                    r.id, combine.RecoveryMultiset(getattr(r, counts)), args.optlevel)
+                for r in labeled))
+            outputs.append(path)
     _record_run("reconcile", args, [args.functions, args.targets], outputs)
     residual = sum(len(r.true_labels) for r in labeled)
     recovered = sum(len(r.recovered) for r in labeled)
@@ -235,10 +220,8 @@ def _cmd_predict(args) -> int:
             raise ValueError("--external requires --vocab for request tokenization")
         vocab = bpe.load_vocab(args.vocab)
         known = corpus.load_targets(args.targets).name_set if args.targets else None
-        labels: list[str] = []
         with classify.spawn_external(shlex.split(args.external), vocab, known) as client:
-            for _, ws in groups:
-                labels.extend(client.predict(ws))
+            labels = client.predict(pool)
         inputs.append(args.vocab)
         if args.targets:
             inputs.append(args.targets)

@@ -85,9 +85,10 @@ class FunctionRecovery:
         if not isinstance(counts, dict):
             raise ValueError(f"field 'counts' must be an object, not {type(counts).__name__}")
         for name, count in counts.items():
-            # bool is an int subclass; "2", 1.7 and true are all refused
-            if type(count) is not int:
-                raise ValueError(f"field 'counts': {name!r} has a non-integer count {count!r}")
+            # bool is an int subclass; "2", 1.7, true and -1 are all refused
+            if type(count) is not int or count < 0:
+                raise ValueError(f"field 'counts': {name!r} has count {count!r}, "
+                                 "not a non-negative integer")
         optlevel = obj.get("optlevel")
         if optlevel is not None and not isinstance(optlevel, str):
             raise ValueError(f"field 'optlevel' must be a string, not {optlevel!r}")

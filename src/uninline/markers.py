@@ -85,17 +85,6 @@ class MarkerPlan:
             "assignments": [[a.slot, a.name, a.line, a.col] for a in self.assignments],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MarkerPlan":
-        return cls(
-            file_array_name=obj["array"],
-            array_size=int(obj["array_size"]),
-            assignments=tuple(
-                MarkerAssignment(int(s), str(n), int(l), int(c))
-                for s, n, l, c in obj["assignments"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class RecoveredMarker:

@@ -5,8 +5,9 @@ each window is labeled with the marker whose anchor line falls inside
 it, smallest anchor first and lexicographic name on equal lines, or
 EMPTY when no anchor is covered.
 
-Marker assignment lines are stripped from window text so a classifier
-never reads the labels it is meant to predict.
+A window is held as its text: the kept lines joined with newlines, as a
+window record stores it. Marker assignment lines are stripped from that
+text so a classifier never reads the labels it is meant to predict.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ class WindowSpec:
 class WindowInstance:
     func_id: FunctionId
     start: int
-    lines: tuple[str, ...]
+    text: str
     label: str = EMPTY
 
     @property
-    def text(self) -> str:
-        return "\n".join(self.lines)
+    def lines(self) -> tuple[str, ...]:
+        return tuple(self.text.split("\n")) if self.text else ()
 
     def as_json(self) -> dict:
         return {
@@ -70,7 +71,7 @@ class WindowInstance:
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
             start=start,
-            lines=tuple(text.split("\n")) if text else (),
+            text=text,
             label=label,
         )
 
@@ -95,8 +96,8 @@ def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInsta
     out = []
     for start in starts:
         end = min(start + spec.height, length)
-        lines = tuple(body.lines[i] for i in range(start, end) if i not in skip)
-        out.append(WindowInstance(body.id, start, lines, _window_label(body, start, end)))
+        text = "\n".join([body.lines[i] for i in range(start, end) if i not in skip])
+        out.append(WindowInstance(body.id, start, text, _window_label(body, start, end)))
     return out
 
 

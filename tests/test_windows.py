@@ -107,8 +107,8 @@ def test_spec_validation() -> None:
 
 def _pool(n_empty: int, n_labeled: int) -> list[WindowInstance]:
     fid = FunctionId("x.c", "f", 0)
-    pool = [WindowInstance(fid, i, ("line",), EMPTY) for i in range(n_empty)]
-    pool += [WindowInstance(fid, 1000 + i, ("line",), "memset") for i in range(n_labeled)]
+    pool = [WindowInstance(fid, i, "line", EMPTY) for i in range(n_empty)]
+    pool += [WindowInstance(fid, 1000 + i, "line", "memset") for i in range(n_labeled)]
     return pool
 
 
@@ -149,13 +149,17 @@ def test_rebalance_rejects_bad_fraction() -> None:
 def test_window_records_roundtrip(tmp_path) -> None:
     body = make_body("f", 25, labels=(("memset", 3),))
     ws = scan_windows(body, SCAN20)
+    # at height 1, the window of the empty line is the empty text
+    gap = DecompiledFunction(FunctionId("x.c", "g", 0), ("{", "", "}"))
+    ws += scan_windows(gap, WindowSpec(height=1))
+    assert [w.text for w in ws[-3:]] == ["{", "", "}"]
     path = tmp_path / "windows.jsonl"
     write_windows(path, ws)
     assert read_windows(path) == ws
 
 
 def test_window_record_fields(tmp_path) -> None:
-    w = WindowInstance(FunctionId("a.c", "f", 0), 4, ("x", "y"), "memset")
+    w = WindowInstance(FunctionId("a.c", "f", 0), 4, "x\ny", "memset")
     obj = w.as_json()
     assert set(obj) == {"func_id", "start", "label", "text"}
     assert obj["text"] == "x\ny"
