@@ -7,10 +7,16 @@
     python3 scripts/bench_pairs.py summarize --runs runs/ --seed 1 --out BENCH.json \
         --parent-commit c7748a5 --claim "infer_lines_per_s on long-repeat"
 
-`run` calls `perfbench/run.py`, with the `run_seconds` of BENCHMARK.json,
-in each checkout in turn, parent first in even pairs and change first
-in odd ones, and appends the last line of its stdout (one JSON object)
-to `<runs>/<workload>-s<seed>.<side>.jsonl`, or to
+`run` runs both sides from one directory, because the checkout path
+alone can shift peak RSS by a few percent: it copies
+the change checkout to `<runs>/tree` and each side's `src/` to
+`<runs>/src.<side>`, and before each run moves the running side's copy
+in as `<runs>/tree/src`. Each side's bytecode is written there by its
+first run and kept with its copy. It calls `perfbench/run.py`, with
+the `run_seconds` of BENCHMARK.json, for each side in turn, parent
+first in even pairs and change first in odd ones, and appends the last
+line of its stdout (one JSON object) to
+`<runs>/<workload>-s<seed>.<side>.jsonl`, or to
 `...-s<seed>-trace.<side>.jsonl` with `--trace`. The i-th parent line
 and the i-th change line form pair i.
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,14 +53,32 @@ def _run_file(runs: Path, workload: str, seed: int, trace: bool, side: str) -> P
     return runs / f"{workload}-s{seed}{'-trace' if trace else ''}.{side}.jsonl"
 
 
+def _copy(source: Path, dest: Path, skip: Path) -> None:
+    """Copy the tree `source` to a fresh `dest`, without `skip` and what runs leave behind."""
+    skipped = shutil.ignore_patterns(".git", ".perfbench", ".hypothesis", ".pytest_cache",
+                                     "__pycache__", "*.egg-info")
+    shutil.rmtree(dest, ignore_errors=True)
+    shutil.copytree(source, dest, ignore=lambda d, names: [
+        *skipped(d, names), *(n for n in names if (Path(d) / n).resolve() == skip)])
+
+
 def run(args) -> int:
     args.runs.mkdir(parents=True, exist_ok=True)
+    runs, tree = args.runs.resolve(), args.runs / "tree"
+    _copy(args.change, tree, runs)
+    shutil.rmtree(tree / "src")
+    for side in SIDES:
+        _copy(getattr(args, side) / "src", args.runs / f"src.{side}", runs)
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(BENCHMARK["run_seconds"]),
                "--trace", "1" if args.trace else "0"]
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            done = subprocess.run(command, cwd=getattr(args, side), capture_output=True, text=True)
+            (args.runs / f"src.{side}").rename(tree / "src")
+            try:
+                done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+            finally:
+                (tree / "src").rename(args.runs / f"src.{side}")
             lines = done.stdout.strip().splitlines()
             if not lines:
                 print(f"pair {pair} {side}: no result (exit {done.returncode})\n{done.stderr}",

@@ -589,11 +589,10 @@ def _merge_segment(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:
 
 def decode(vocab: BpeVocab, ids: Sequence[int]) -> str:
     table = vocab.token_bytes()
-    try:
-        raw = b"".join(table[i] for i in ids)
-    except IndexError:
-        raise ValueError(f"token id outside the vocabulary of {vocab.size}") from None
-    return raw.decode("utf-8", "surrogateescape")
+    # a negative index would count back from the table's end
+    if not all(0 <= i < len(table) for i in ids):
+        raise ValueError(f"token id outside the vocabulary of {vocab.size}")
+    return b"".join([table[i] for i in ids]).decode("utf-8", "surrogateescape")
 
 
 # the escaped text of each byte: printable ASCII but backslash as is

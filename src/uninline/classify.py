@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import math
 import subprocess
 from array import array
 from dataclasses import dataclass
@@ -43,7 +42,8 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .bpe import BpeVocab, encode, encode_span
-from .jsonl import atomic_write
+from .jsonl import (COUNT, INTEGER, LIST, NUMBER, STRING, STRINGS, Kind, atomic_write,
+                    check, dump_line, field)
 from .windows import EMPTY, WindowInstance
 
 log = logging.getLogger(__name__)
@@ -292,8 +292,7 @@ class ExternalModelClient:
         self._ready = False
 
     def _send(self, obj: dict) -> None:
-        payload = json.dumps(obj, separators=(",", ":")) + "\n"
-        self._writer.write(payload.encode("utf-8"))
+        self._writer.write(dump_line(obj).encode("utf-8") + b"\n")
         self._writer.flush()
 
     def _recv(self) -> dict:
@@ -322,13 +321,11 @@ class ExternalModelClient:
                 self._next_id += 1
                 self._send({"id": rid, "tokens": encode(self._vocab, window.text)})
                 reply = self._recv()
-                if reply.get("id") != rid:
+                if check("id", reply.get("id"), INTEGER) != rid:
                     raise ExternalProtocolError(
-                        f"response id {reply.get('id')!r} does not match request {rid}"
+                        f"response id {reply['id']!r} does not match request {rid}"
                     )
-                label = reply.get("label")
-                if not isinstance(label, str):
-                    raise ExternalProtocolError(f"response lacks a string label: {reply!r}")
+                label = check("label", reply.get("label"), STRING)
                 if label != EMPTY and self._known is not None and label not in self._known:
                     log.warning("unknown label %r from endpoint; recorded as EMPTY", label)
                     label = EMPTY
@@ -419,55 +416,41 @@ def load_model(path: str | Path, vocab: BpeVocab | None = None) -> PriorModel | 
 
 
 _MAX_COUNT = int(np.iinfo(np.int64).max)
-
-
-def _is_number(value) -> bool:
-    # bool is an int subclass; "2" and true are refused
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and 0 <= value <= _MAX_COUNT
+_PROBS = Kind(lambda v: LIST.test(v) and all(NUMBER.test(p) and p >= 0 for p in v),
+              "a list of non-negative numbers")
+_ALPHA = Kind(lambda v: NUMBER.test(v) and v > 0, "a positive number")
 
 
 def _model_from_json(obj: dict, vocab: BpeVocab | None) -> PriorModel | TokenStatsModel:
     kind = obj.get("kind")
     if kind not in ("prior", "token_stats"):
         raise ValueError(f"unknown model kind {kind!r}")
-    labels = obj["labels"]
-    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)
-            and len(set(labels)) == len(labels)):
+    labels = field(obj, "labels", STRINGS)
+    if len(set(labels)) != len(labels):
         raise ValueError("field 'labels' must be a list of distinct strings")
     if kind == "prior":
-        probs = obj["probs"]
-        if not (isinstance(probs, list) and all(_is_number(p) and p >= 0 for p in probs)):
-            raise ValueError("field 'probs' must be a list of non-negative numbers")
-        return PriorModel(tuple(labels), np.asarray(probs, dtype=float))
+        return PriorModel(tuple(labels), np.asarray(field(obj, "probs", _PROBS), dtype=float))
     if vocab is None:
         raise ValueError("loading a token-statistics model requires its vocabulary")
-    size = obj["vocab_size"]
-    if type(size) is not int:
-        raise ValueError(f"field 'vocab_size' must be an integer, not {size!r}")
+    size = field(obj, "vocab_size", INTEGER)
     if vocab.size != size:
         raise ValueError(f"vocabulary size {vocab.size} does not match the model's {size}")
-    alpha = obj["alpha"]
-    if not (_is_number(alpha) and alpha > 0):
-        raise ValueError(f"field 'alpha' must be a positive number, not {alpha!r}")
+    alpha = field(obj, "alpha", _ALPHA)
     window_counts = obj["window_counts"]
-    if not (isinstance(window_counts, list) and len(window_counts) == len(labels)
-            and all(map(_is_count, window_counts)) and any(window_counts)):
+    if not (LIST.test(window_counts) and len(window_counts) == len(labels)
+            and all(COUNT.test(n) and n <= _MAX_COUNT for n in window_counts)
+            and any(window_counts)):
         raise ValueError(f"field 'window_counts' must be {len(labels)} non-negative "
                          "integers, one per label, not all zero")
-    triples = obj["token_counts"]
-    if not isinstance(triples, list):
-        raise ValueError("field 'token_counts' must be a list")
+    triples = field(obj, "token_counts", LIST)
     rows = len(labels)
     token_counts = np.zeros((rows, size), dtype=np.int64)
     for triple in triples:
-        if not (type(triple) is list and len(triple) == 3):
+        if not (LIST.test(triple) and len(triple) == 3):
             raise ValueError(f"field 'token_counts' holds {triple!r}, not [row, id, count]")
         r, c, n = triple
-        if not (type(r) is type(c) is int and 0 <= r < rows and 0 <= c < size and _is_count(n)):
+        if not (INTEGER.test(r) and INTEGER.test(c) and 0 <= r < rows and 0 <= c < size
+                and COUNT.test(n) and n <= _MAX_COUNT):
             raise ValueError(f"field 'token_counts' holds {triple!r}: row, id or count "
                              f"outside a {rows} by {size} table of non-negative integers")
         token_counts[r, c] = n

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
-from .jsonl import append_jsonl, atomic_write, read_records, write_jsonl
+from .jsonl import NUMBER, STRING, append_jsonl, atomic_write, field, read_records, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -311,17 +311,8 @@ def _cmd_score(args) -> int:
 
 def _per_name_row(row: dict) -> tuple[str, float, float, float]:
     """A `score --per-name-out` record: the name and its precision, recall and f1."""
-    name = row["name"]
-    if not isinstance(name, str):
-        raise ValueError(f"field 'name' must be a string, not {name!r}")
-    metrics = []
-    for key in ("precision", "recall", "f1"):
-        value = row[key]
-        # bool is an int subclass; "0.5" and true are both refused
-        if type(value) not in (int, float):
-            raise ValueError(f"field {key!r} must be a number, not {value!r}")
-        metrics.append(float(value))
-    return name, *metrics
+    return (field(row, "name", STRING),
+            *(float(field(row, key, NUMBER)) for key in ("precision", "recall", "f1")))
 
 
 def _cmd_correlate(args) -> int:

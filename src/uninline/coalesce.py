@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .combine import RecoveryMultiset
 from .corpus import FunctionId
-from .jsonl import read_records, write_jsonl
+from .jsonl import STRINGS, field, read_records, write_jsonl
 from .windows import EMPTY
 
 
@@ -70,10 +70,7 @@ class LabelSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabelSequence":
-        labels = obj["labels"]
-        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
-            raise ValueError("field 'labels' must be a list of strings")
-        return cls(FunctionId.from_json(obj["func_id"]), tuple(labels))
+        return cls(FunctionId.from_json(obj["func_id"]), tuple(field(obj, "labels", STRINGS)))
 
 
 def denoise(labels: Sequence[str], neighbor_span: int) -> list[str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FunctionId
-from .jsonl import read_records, write_jsonl
+from .jsonl import COUNT, STRING, Kind, check, field, read_records, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -65,6 +65,10 @@ def combine(model: RecoveryMultiset, decompiler: RecoveryMultiset) -> RecoveryMu
     return model + decompiler
 
 
+_COUNTS = Kind(lambda v: type(v) is dict and all(map(COUNT.test, v.values())),
+               "an object of non-negative integer counts")
+
+
 @dataclass(frozen=True)
 class FunctionRecovery:
     """One function's recovery multiset as a pipeline record."""
@@ -81,21 +85,11 @@ class FunctionRecovery:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FunctionRecovery":
-        counts = obj["counts"]
-        if not isinstance(counts, dict):
-            raise ValueError(f"field 'counts' must be an object, not {type(counts).__name__}")
-        for name, count in counts.items():
-            # bool is an int subclass; "2", 1.7, true and -1 are all refused
-            if type(count) is not int or count < 0:
-                raise ValueError(f"field 'counts': {name!r} has count {count!r}, "
-                                 "not a non-negative integer")
         optlevel = obj.get("optlevel")
-        if optlevel is not None and not isinstance(optlevel, str):
-            raise ValueError(f"field 'optlevel' must be a string, not {optlevel!r}")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
-            counts=RecoveryMultiset(counts),
-            optlevel=optlevel,
+            counts=RecoveryMultiset(field(obj, "counts", _COUNTS)),
+            optlevel=None if optlevel is None else check("optlevel", optlevel, STRING),
         )
 
 

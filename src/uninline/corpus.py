@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import ctext
 from . import jsonl
+from .jsonl import BOOL, COUNT, INTEGER, LIST, STRING, STRINGS, Kind, check
 
 log = logging.getLogger(__name__)
 
@@ -80,14 +81,13 @@ class FunctionId(NamedTuple):
         if not isinstance(obj, (list, tuple)) or len(obj) != 3:
             raise ValueError(f"function id must be [path, name, ordinal], not {obj!r}")
         path, name, ordinal = obj
-        for field_name, value in (("path", path), ("name", name)):
-            if not isinstance(value, str):
-                raise ValueError(f"function id field {field_name!r} must be a string, "
-                                 f"not {value!r}")
-        # bool is an int subclass; 1.9, "1" and true are all refused
-        if type(ordinal) is not int:
-            raise ValueError(f"function id field 'ordinal' must be an integer, not {ordinal!r}")
-        return cls(path, name, ordinal)
+        return cls(check("path", path, STRING), check("name", name, STRING),
+                   check("ordinal", ordinal, INTEGER))
+
+
+_LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
+    LIST.test(p) and len(p) == 2 and STRING.test(p[0]) and INTEGER.test(p[1]) for p in v),
+    "a list of [name, line] pairs")
 
 
 @dataclass(frozen=True)
@@ -135,34 +135,13 @@ class DecompiledFunction:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecompiledFunction":
-        lines = _list_field(obj, "lines")
-        if not all(isinstance(line, str) for line in lines):
-            raise ValueError("field 'lines' must hold only strings")
-        truncated = obj.get("truncated", False)
-        if not isinstance(truncated, bool):
-            raise ValueError("field 'truncated' must be true or false")
-        true_labels = _list_field(obj, "true_labels")
-        for label in true_labels:
-            if not (isinstance(label, list) and len(label) == 2
-                    and isinstance(label[0], str) and type(label[1]) is int):
-                raise ValueError(f"field 'true_labels' holds {label!r}, not [name, line]")
-        recovered = _list_field(obj, "recovered")
-        if not all(isinstance(name, str) for name in recovered):
-            raise ValueError("field 'recovered' must hold only strings")
         return cls(
             id=FunctionId.from_json(obj["id"]),
-            lines=tuple(lines),
-            true_labels=tuple((name, anchor) for name, anchor in true_labels),
-            recovered=tuple(sorted(recovered)),
-            truncated=truncated,
+            lines=tuple(jsonl.field(obj, "lines", STRINGS)),
+            true_labels=tuple(map(tuple, jsonl.field(obj, "true_labels", _LABEL_PAIRS))),
+            recovered=tuple(sorted(jsonl.field(obj, "recovered", STRINGS))),
+            truncated=check("truncated", obj.get("truncated", False), BOOL),
         )
-
-
-def _list_field(obj: dict, key: str) -> list:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"field {key!r} must be a list, not {type(value).__name__}")
-    return value
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
@@ -208,7 +187,7 @@ class TargetFunctionSet:
             if low and low not in seen:
                 normalized.append(low)
                 seen.add(low)
-        freqs = {k.lower(): int(v) for k, v in (frequencies or {}).items()}
+        freqs = {k.lower(): check("frequency", v, COUNT) for k, v in (frequencies or {}).items()}
         return cls(tuple(normalized), freqs)
 
     def __contains__(self, name: str) -> bool:

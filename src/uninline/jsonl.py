@@ -1,15 +1,52 @@
-"""Streaming line-oriented JSON, the interchange format between pipeline stages."""
+"""Streaming line-oriented JSON, the interchange format between pipeline stages.
+
+A JSON value read from outside the program is checked against a `Kind`
+through `check` or `field`; a decoder refuses a value of the wrong kind
+and never coerces it.
+"""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import os
+import reprlib
+import sys
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 T = TypeVar("T")
+
+
+class Kind(NamedTuple):
+    """What a JSON value must be: a test, and the phrase an error names it by."""
+
+    test: Callable[[Any], bool]
+    phrase: str
+
+
+# bool is an int subclass, so kinds match by type: 1.9, "1" and true are not integers
+STRING = Kind(lambda v: type(v) is str, "a string")
+INTEGER = Kind(lambda v: type(v) is int, "an integer")
+COUNT = Kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+# NaN, the infinities and an int that float() cannot take are all refused
+NUMBER = Kind(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+BOOL = Kind(lambda v: type(v) is bool, "true or false")
+LIST = Kind(lambda v: type(v) is list, "a list")
+STRINGS = Kind(lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings")
+
+
+def check(name: str, value: T, kind: Kind) -> T:
+    """`value` if it is of `kind`; otherwise a ValueError naming field `name`."""
+    if not kind.test(value):
+        raise ValueError(f"field {name!r} must be {kind.phrase}, not {reprlib.repr(value)}")
+    return value
+
+
+def field(obj: Mapping[str, Any], key: str, kind: Kind) -> Any:
+    """`obj[key]`, checked by `check`; a missing key raises KeyError."""
+    return check(key, obj[key], kind)
 
 
 def _nonblank(path: str | Path) -> Iterator[tuple[int, str]]:

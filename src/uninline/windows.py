@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import DecompiledFunction, FunctionId
-from .jsonl import read_records, write_jsonl
+from .jsonl import INTEGER, STRING, field, read_records, write_jsonl
 from .markers import MARKER_PREFIX
 
 EMPTY = ""
@@ -61,18 +61,11 @@ class WindowInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WindowInstance":
-        start, text, label = obj["start"], obj["text"], obj["label"]
-        # bool is an int subclass; 1.9, "1" and true are all refused
-        if type(start) is not int:
-            raise ValueError(f"field 'start' must be an integer, not {start!r}")
-        for key, value in (("text", text), ("label", label)):
-            if not isinstance(value, str):
-                raise ValueError(f"field {key!r} must be a string, not {type(value).__name__}")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
-            start=start,
-            text=text,
-            label=label,
+            start=field(obj, "start", INTEGER),
+            text=field(obj, "text", STRING),
+            label=field(obj, "label", STRING),
         )
 
 

@@ -521,6 +521,8 @@ def test_invalid_parameters_refused() -> None:
         BpeVocab(((990, 0),), vocab_size_limit=300)
     with pytest.raises(ValueError):
         decode(BpeVocab(()), [4000])
+    with pytest.raises(ValueError):
+        decode(BpeVocab(()), [-1])
 
 
 @pytest.mark.parametrize("line", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import pickle
@@ -11,6 +12,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from uninline import classify
 from uninline.bpe import BpeVocab, encode, train_bpe
 from uninline.classify import (
+    ExternalModelClient,
     ExternalProtocolError,
     PriorModel,
     TokenStatsModel,
@@ -387,6 +390,17 @@ for line in sys.stdin:
 """
 
 
+# replies to request i with the JSON text REPLY_IDS[i] as its id
+SERVER_REPLY_IDS = """\
+import json, sys
+hs = json.loads(sys.stdin.readline())
+sys.stdout.write(json.dumps(hs) + "\\n"); sys.stdout.flush()
+for line in sys.stdin:
+    req = json.loads(line)
+    sys.stdout.write('{"id": %s, "label": ""}\\n' % REPLY_IDS[req["id"]]); sys.stdout.flush()
+"""
+
+
 def _server(tmp_path, code: str) -> list[str]:
     path = tmp_path / "server.py"
     path.write_text(code)
@@ -448,6 +462,34 @@ def test_external_rejects_id_mismatch(tmp_path) -> None:
     with spawn_external(_server(tmp_path, SERVER_WRONG_ID), vocab) as client:
         with pytest.raises(ExternalProtocolError):
             client.predict([_w("a")])
+
+
+@pytest.mark.parametrize("reply_ids", [["false"], ["0", "true"], ["0", "1.0"]],
+                         ids=["false-for-0", "true-for-1", "float-for-1"])
+def test_external_rejects_a_reply_id_that_is_no_json_integer(tmp_path, reply_ids) -> None:
+    # each equals its request id in Python, so only the type tells them apart
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    code = f"REPLY_IDS = {reply_ids!r}\n" + SERVER_REPLY_IDS
+    with spawn_external(_server(tmp_path, code), vocab) as client:
+        with pytest.raises(ExternalProtocolError, match="field 'id' must be an integer"):
+            client.predict([_w("a"), _w("b")])
+
+
+def test_external_client_sends_the_readme_protocol_lines() -> None:
+    """The handshake and a request, byte for byte, and as README shows them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shown = [line.split("-> ", 1)[1] for line in readme.splitlines()
+             if line.startswith("client -> ")]
+    replies = io.BytesIO(b'{"proto":"uninline-external-labels","version":1}\n'
+                         b'{"id":0,"label":""}\n')
+    sent = io.BytesIO()
+    client = ExternalModelClient(replies, sent, BpeVocab(()))
+    assert client.predict([_w("ab")]) == [EMPTY]
+    assert sent.getvalue() == (b'{"proto":"uninline-external-labels","version":1}\n'
+                               b'{"id":0,"tokens":[97,98]}\n')
+    handshake, request = sent.getvalue().decode().splitlines()
+    assert json.loads(handshake) == json.loads(shown[0])
+    assert shown[1].startswith('{"id": 0, "tokens": [')
 
 
 def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:

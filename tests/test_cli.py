@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import shlex
 import sys
 
@@ -441,6 +442,8 @@ LABELS = {"func_id": ["a.c", "f", 0], "labels": ["memset", ""]}
 MODEL = {"kind": "token_stats", "alpha": 1.0, "vocab_size": 256, "labels": ["", "memset"],
          "window_counts": [2, 1], "token_counts": [[0, 123, 3], [1, 10, 2]]}
 PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
+PER_NAME = {"name": "memset", "tp": 1, "fp": 0, "fn": 0,
+            "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 @pytest.mark.parametrize("record, field", [
@@ -485,6 +488,11 @@ PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
     ({**MODEL, "vocab_size": "256"}, "vocab_size"),
     ({**PRIOR, "probs": ["0.5", 0.5]}, "probs"),
     ([MODEL], None),
+    ({**PER_NAME, "precision": math.nan}, "precision"),
+    ({**PER_NAME, "recall": math.inf}, "recall"),
+    ({**PER_NAME, "f1": "0.5"}, "f1"),
+    ({**PER_NAME, "precision": True}, "precision"),
+    ({**PER_NAME, "name": 5}, "name"),
 ], ids=["lines-string", "lines-number", "true_labels-null", "truncated-string",
         "count-float", "count-string", "count-bool", "count-negative", "optlevel-number",
         "path-null", "name-number",
@@ -497,14 +505,20 @@ PRIOR = {"kind": "prior", "labels": ["", "memset"], "probs": [0.5, 0.5]}
         "model-triple-short", "model-cell-repeated", "model-alpha-string",
         "model-window-count-negative", "model-window-counts-short", "model-window-counts-zero",
         "model-label-number", "model-vocab-size-string", "prior-probability-string",
-        "model-list"])
+        "model-list", "metric-nan", "metric-infinity", "metric-string", "metric-bool",
+        "per-name-number"])
 def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None:
     path = tmp_path / "in.jsonl"
     out = tmp_path / "out.jsonl"
     if isinstance(record, list) or "kind" in record:
         _check_ill_typed_model(tmp_path, capsys, record, field)
         return
-    if "counts" in record:
+    if "f1" in record:
+        targets = tmp_path / "targets.tsv"
+        targets.write_text("memset\t50\n")
+        good, argv = PER_NAME, ["correlate", "--per-name", str(path), "--targets", str(targets),
+                                "--report", str(out)]
+    elif "counts" in record:
         good, argv = RECOVERY, ["score", "--pred", str(path), "--truth", str(path),
                                 "--report", str(out)]
     elif "start" in record:
@@ -580,10 +594,6 @@ def test_missing_record_field_names_its_location(tmp_path, capsys, stage, record
     out = tmp_path / "out.jsonl"
     assert cli.run(_stage_reading(stage, path, out)) == 2
     assert f"error: {path}:1: missing field '{field}'" in capsys.readouterr().err
-
-
-PER_NAME = {"name": "memset", "tp": 1, "fp": 0, "fn": 0,
-            "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -690,7 +700,7 @@ def _jsonl(draw, good: dict) -> bytes:
 _LABELED = {**FUNCTION, "lines": list(RECONCILE_LINES), "true_labels": [["sprintf", 5]],
             "recovered": ["sprintf"]}
 _FUZZ_INPUT = {"reconcile": _LABELED, "windows": _LABELED, "rebalance": WINDOW, "fit": WINDOW,
-               "coalesce": LABELS, "combine": RECOVERY, "score": RECOVERY}
+               "coalesce": LABELS, "combine": RECOVERY, "score": RECOVERY, "correlate": PER_NAME}
 
 
 @st.composite
@@ -711,7 +721,7 @@ def test_malformed_jsonl_exits_0_or_2_never_a_traceback(tmp_path, case) -> None:
     path.write_bytes(data)
     second.write_bytes(other)
     targets, vocab = tmp_path / "targets.txt", tmp_path / "vocab.txt"
-    targets.write_text("sprintf\nmemset\n")
+    targets.write_text("sprintf\t3\nmemset\t5\n")
     bpe.save_vocab(vocab, bpe.train_bpe(["{\n}", "int f(void)"], vocab_size=260,
                                         min_frequency=1))
     argv = {
@@ -724,6 +734,7 @@ def test_malformed_jsonl_exits_0_or_2_never_a_traceback(tmp_path, case) -> None:
         "coalesce": ["--labels", path, "--out", out],
         "combine": ["--model", path, "--decompiler", second, "--out", out],
         "score": ["--pred", path, "--truth", second, "--report", out],
+        "correlate": ["--per-name", path, "--targets", targets, "--report", out],
     }[stage]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.run([stage, *map(str, argv)])

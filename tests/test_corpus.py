@@ -55,6 +55,12 @@ def test_targets_reject_unnormalized() -> None:
         TargetFunctionSet(names=("MemSet",))
 
 
+@pytest.mark.parametrize("frequency", [1.7, "5", True, -1])
+def test_target_frequency_must_be_a_count(frequency) -> None:
+    with pytest.raises(ValueError, match="'frequency' must be a non-negative integer"):
+        TargetFunctionSet.from_names(["memset"], {"memset": frequency})
+
+
 def test_load_targets_with_frequencies(tmp_path) -> None:
     path = tmp_path / "targets.txt"
     path.write_text("# frequent first\nsprintf\t120\nmemset\t80\nwifexited\n")
