@@ -9,10 +9,12 @@ The run does what `perfbench/run.py` does before it times anything, with
 train+infer passes on the last set-up. It reads `ru_maxrss`, the
 process's high-water mark, before and after each stage of each chain:
 every `uninline` CLI call and the in-process `split`. A stage that
-raises the mark prints one line (phase, chain, stage, the mark after it
-and the step in kB). A summary follows: per stage, the steps and kB
-during the set-ups and during the passes, and the mark above the
-post-import baseline, which is what `peak_rss_mb` reads.
+raises the mark prints one line (phase, chain, stage, the mark after
+it, the step in kB and the modules the stage imported first, each new
+package once with the count of its new submodules), so a lazily loaded
+dependency shows at the step it costs. A summary follows: per stage,
+the steps and kB during the set-ups and during the passes, and the mark
+above the post-import baseline, which is what `peak_rss_mb` reads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _maxrss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+
+
+def _first_imports(before: set) -> str:
+    """Modules loaded since `before`: each new package once, with its new submodules' count."""
+    new = set(sys.modules) - before
+    tops = sorted(name for name in new if name.rpartition(".")[0] not in new)
+    counts = {top: sum(name.startswith(top + ".") for name in new) for top in tops}
+    return " ".join(f"{top}(+{n})" if n else top for top, n in counts.items())
 
 
 def main(argv=None) -> int:
@@ -50,7 +60,7 @@ def main(argv=None) -> int:
 
     def measured(name_of, call):
         def wrapper(*argv, **kwargs):
-            before = _maxrss_kb()
+            before, modules = _maxrss_kb(), set(sys.modules)
             try:
                 return call(*argv, **kwargs)
             finally:
@@ -58,7 +68,10 @@ def main(argv=None) -> int:
                 if after > before:
                     key = (where["phase"], where["chain"], name_of(argv))
                     steps[key].append(after - before)
-                    print(f"{key[0]:6} {key[1]:5} {key[2]:10} {after:8d} kB  +{after - before} kB")
+                    # the real stdout: the chains send each stage's own output to a buffer
+                    print(f"{key[0]:6} {key[1]:5} {key[2]:10} {after:8d} kB  "
+                          f"+{after - before} kB  {_first_imports(modules)}".rstrip(),
+                          file=sys.__stdout__)
         return wrapper
 
     def chain(name, call):

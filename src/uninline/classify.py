@@ -35,6 +35,7 @@ import json
 import logging
 import subprocess
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -44,6 +45,7 @@ import numpy as np
 from .bpe import BpeVocab, encode, encode_span
 from .jsonl import (COUNT, INTEGER, LIST, NUMBER, STRING, STRINGS, Kind, atomic_write,
                     check, dump_line, field)
+from .rng import doubles
 from .windows import EMPTY, WindowInstance
 
 log = logging.getLogger(__name__)
@@ -92,13 +94,13 @@ def fit_prior(train: Sequence[WindowInstance]) -> PriorModel:
 def predict_prior_sequence(
     model: PriorModel, windows: Sequence[WindowInstance], seed: int, start_position: int = 0
 ) -> list[str]:
-    cum = np.cumsum(model.probs)
+    cum = np.cumsum(model.probs).tolist()
     return [_draw(model, cum, seed, start_position + i) for i in range(len(windows))]
 
 
-def _draw(model: PriorModel, cum: np.ndarray, seed: int, position: int) -> str:
-    u = np.random.default_rng((seed, position)).random()
-    idx = int(np.searchsorted(cum, u, side="right"))
+def _draw(model: PriorModel, cum: list[float], seed: int, position: int) -> str:
+    """The label at the first draw of numpy's `default_rng((seed, position))`."""
+    idx = bisect_right(cum, next(doubles((seed, position))))
     return model.labels[min(idx, len(model.labels) - 1)]
 
 
@@ -307,7 +309,13 @@ class ExternalModelClient:
     def handshake(self) -> None:
         self._send({"proto": PROTOCOL_NAME, "version": PROTOCOL_VERSION})
         reply = self._recv()
-        if reply.get("proto") != PROTOCOL_NAME or reply.get("version") != PROTOCOL_VERSION:
+        try:
+            # by kind first: true and 1.0 equal version 1 in Python
+            proto = check("proto", reply.get("proto"), STRING)
+            version = check("version", reply.get("version"), INTEGER)
+        except ValueError as exc:
+            raise ExternalProtocolError(f"handshake rejected: {exc}") from None
+        if proto != PROTOCOL_NAME or version != PROTOCOL_VERSION:
             raise ExternalProtocolError(f"handshake rejected: {reply!r}")
         self._ready = True
 

@@ -27,7 +27,8 @@ from typing import Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
-from .jsonl import NUMBER, STRING, append_jsonl, atomic_write, field, read_records, write_jsonl
+from .jsonl import (NUMBER, STRING, Kind, append_jsonl, atomic_write, field, read_records,
+                    write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -171,9 +172,15 @@ def _cmd_windows(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
+    return args.seed
+
+
 def _cmd_rebalance(args) -> int:
     pool = windows.read_windows(args.windows)
-    kept = windows.rebalance(pool, args.discard_fraction, args.seed)
+    kept = windows.rebalance(pool, args.discard_fraction, _seed(args))
     windows.write_windows(args.out, kept)
     _record_run("rebalance", args, [args.windows], [args.out], seeds={"seed": args.seed})
     print(f"kept {len(kept)} of {len(pool)} windows")
@@ -235,7 +242,7 @@ def _cmd_predict(args) -> int:
             inputs.append(args.vocab)
         if isinstance(model, classify.PriorModel):
             seeds = {"seed": args.seed}
-            labels = classify.predict_prior_sequence(model, pool, args.seed)
+            labels = classify.predict_prior_sequence(model, pool, _seed(args))
         else:
             labels = classify.predict_token_stats_batch(model, pool)
     sequences = []
@@ -309,10 +316,14 @@ def _cmd_score(args) -> int:
     return 0
 
 
+# precision, recall and f1 are ratios; a huge finite value would overflow the correlation
+_RATIO = Kind(lambda v: NUMBER.test(v) and 0 <= v <= 1, "a ratio in [0, 1]")
+
+
 def _per_name_row(row: dict) -> tuple[str, float, float, float]:
     """A `score --per-name-out` record: the name and its precision, recall and f1."""
     return (field(row, "name", STRING),
-            *(float(field(row, key, NUMBER)) for key in ("precision", "recall", "f1")))
+            *(float(field(row, key, _RATIO)) for key in ("precision", "recall", "f1")))
 
 
 def _cmd_correlate(args) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import logging
 import re
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,6 +153,12 @@ def write_functions(path: str | Path, functions: Iterable[DecompiledFunction]) -
     return jsonl.write_jsonl(path, (fn.as_json() for fn in functions))
 
 
+# correlate takes a frequency as a float, which holds every count up to 2**53 exactly
+_MAX_FREQUENCY = 2 ** 53
+_FREQUENCY = Kind(lambda v: COUNT.test(v) and v <= _MAX_FREQUENCY,
+                  "a non-negative integer of at most 2**53")
+
+
 @dataclass(frozen=True)
 class TargetFunctionSet:
     """The library functions the pipeline tries to recover.
@@ -187,7 +194,8 @@ class TargetFunctionSet:
             if low and low not in seen:
                 normalized.append(low)
                 seen.add(low)
-        freqs = {k.lower(): check("frequency", v, COUNT) for k, v in (frequencies or {}).items()}
+        freqs = {k.lower(): check("frequency", v, _FREQUENCY)
+                 for k, v in (frequencies or {}).items()}
         return cls(tuple(normalized), freqs)
 
     def __contains__(self, name: str) -> bool:
@@ -205,11 +213,16 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
         parts = line.split("\t")
         names.append(parts[0])
         if len(parts) > 1:
+            text = parts[1]
             # int() would also take "-5", "+5" and "1_000"
-            if not (parts[1].isascii() and parts[1].isdigit()):
+            if not (text.isascii() and text.isdigit()):
                 raise ValueError(f"{path}:{lineno}: frequency must be a non-negative "
-                                 f"integer, not {parts[1]!r}")
-            freqs[parts[0].lower()] = int(parts[1])
+                                 f"integer, not {text!r}")
+            # more digits than the bound has are refused before int() reads them
+            if len(text.lstrip("0")) > len(str(_MAX_FREQUENCY)) or int(text) > _MAX_FREQUENCY:
+                raise ValueError(f"{path}:{lineno}: frequency must be at most 2**53, "
+                                 f"not {reprlib.repr(text)}")
+            freqs[parts[0].lower()] = int(text)
     return TargetFunctionSet.from_names(names, freqs)
 
 

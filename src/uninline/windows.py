@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .corpus import DecompiledFunction, FunctionId
 from .jsonl import INTEGER, STRING, field, read_records, write_jsonl
 from .markers import MARKER_PREFIX
+from .rng import doubles
 
 EMPTY = ""
 
@@ -103,19 +102,13 @@ def rebalance(
 
     Labeled windows always survive and consume no random draws, so the
     surviving set depends only on (seed, positions of EMPTY windows).
-    Order is preserved.
+    The draws are those of numpy's `default_rng(seed)`. Order is
+    preserved.
     """
     if not 0 <= discard_fraction < 1:
         raise ValueError("discard_fraction must lie in [0, 1)")
-    pool = list(instances)
-    if discard_fraction == 0:
-        return pool
-    rng = np.random.default_rng(seed)
-    out = []
-    for inst in pool:
-        if inst.label != EMPTY or rng.random() >= discard_fraction:
-            out.append(inst)
-    return out
+    draws = doubles(seed)
+    return [inst for inst in instances if inst.label != EMPTY or next(draws) >= discard_fraction]
 
 
 def write_windows(path, instances: Iterable[WindowInstance]) -> int:

@@ -85,6 +85,27 @@ def test_prior_replay_is_identical() -> None:
     assert predict_prior_sequence(model, ws[:50], seed=42, start_position=7) == first[7:57]
 
 
+def _oracle_prior(model, count, seed, start):
+    """The draw `predict_prior_sequence` replaced: numpy's generator, one per position."""
+    cum = np.cumsum(model.probs)
+    out = []
+    for position in range(start, start + count):
+        u = np.random.default_rng((seed, position)).random()
+        idx = int(np.searchsorted(cum, u, side="right"))
+        out.append(model.labels[min(idx, len(model.labels) - 1)])
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=5).filter(any),
+       st.integers(0, 2**70), st.integers(0, 2**40))
+def test_prior_draws_what_numpys_generator_draws(counts, seed, start) -> None:
+    labels = tuple([EMPTY] + [f"f{i}" for i in range(1, len(counts))])
+    model = PriorModel(labels, np.array(counts) / sum(counts))
+    ws = [_w("x")] * 40
+    assert predict_prior_sequence(model, ws, seed, start) == _oracle_prior(model, 40, seed, start)
+
+
 def test_prior_degenerate_always_empty() -> None:
     model = PriorModel((EMPTY,), np.array([1.0]))
     assert all(
@@ -490,6 +511,20 @@ def test_external_client_sends_the_readme_protocol_lines() -> None:
     handshake, request = sent.getvalue().decode().splitlines()
     assert json.loads(handshake) == json.loads(shown[0])
     assert shown[1].startswith('{"id": 0, "tokens": [')
+
+
+@pytest.mark.parametrize("reply, field", [
+    (b'{"proto":"uninline-external-labels","version":true}', "version"),
+    (b'{"proto":"uninline-external-labels","version":1.0}', "version"),
+    (b'{"proto":"uninline-external-labels"}', "version"),
+    (b'{"proto":["uninline-external-labels"],"version":1}', "proto"),
+], ids=["version-true", "version-float", "version-missing", "proto-list"])
+def test_handshake_checks_reply_kinds_before_values(reply, field) -> None:
+    # true and 1.0 equal version 1 in Python, so only the kind tells them apart
+    client = ExternalModelClient(io.BytesIO(reply + b"\n"), io.BytesIO(), BpeVocab(()))
+    with pytest.raises(ExternalProtocolError, match=f"handshake rejected: field '{field}'"):
+        client.handshake()
+    assert not client._ready
 
 
 def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:

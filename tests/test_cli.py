@@ -7,7 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -636,6 +638,87 @@ def test_bad_target_frequency_names_its_location(tmp_path, capsys, frequency) ->
     err = capsys.readouterr().err
     assert (f"error: {targets}:3: frequency must be a non-negative integer, not {frequency!r}"
             in err)
+
+
+@pytest.mark.parametrize("metric", ["precision", "recall", "f1"])
+@pytest.mark.parametrize("value", [1e308, -1e308, 1.5, -0.25])
+def test_correlate_refuses_a_metric_that_is_no_ratio(tmp_path, capsys, metric, value) -> None:
+    # 1e308 and -1e308 are finite, but overflowed the correlation into NaN
+    targets = tmp_path / "targets.tsv"
+    targets.write_text("memset\t50\nstrcpy\t10\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps({**PER_NAME, metric: value}) + "\n"
+                    + json.dumps({**PER_NAME, "name": "strcpy", metric: 0.5}) + "\n")
+    report = tmp_path / "corr.json"
+    argv = ["correlate", "--per-name", str(path), "--targets", str(targets),
+            "--report", str(report)]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}:1: field '{metric}' must be a ratio in [0, 1]" in captured.err
+    assert "nan" not in captured.out
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("frequency", [str(10**400), str(10**300), str(2**53 + 1),
+                                       "0" * 40 + str(2**60)],
+                         ids=["1e400", "1e300", "2**53+1", "zero-padded-2**60"])
+def test_target_frequency_past_2_53_names_its_location(tmp_path, capsys, frequency) -> None:
+    targets = tmp_path / "targets.tsv"
+    targets.write_text(f"strcpy\t10\nmemset\t{frequency}\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps(PER_NAME) + "\n")
+    assert cli.run(["correlate", "--per-name", str(path), "--targets", str(targets)]) == 2
+    assert f"error: {targets}:2: frequency must be at most 2**53" in capsys.readouterr().err
+
+
+def test_target_frequency_of_2_53_is_taken_exactly(tmp_path, capsys) -> None:
+    targets = tmp_path / "targets.tsv"
+    targets.write_text(f"strcpy\t{'0' * 30}10\nmemset\t{2**53}\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps(PER_NAME) + "\n"
+                    + json.dumps({**PER_NAME, "name": "strcpy", "f1": 0.5}) + "\n")
+    report = tmp_path / "corr.json"
+    assert cli.run(["correlate", "--per-name", str(path), "--targets", str(targets),
+                    "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["r_f1"] == pytest.approx(1.0)
+    assert corpus.load_targets(targets).frequencies == {"strcpy": 10, "memset": 2**53}
+
+
+def _prior_stage_argvs(tmp_path, seed: str) -> list[list[str]]:
+    """rebalance at fractions 0 and 0.5, and predict with a prior model, at `seed`."""
+    win = tmp_path / "w.jsonl"
+    windows.write_windows(win, [windows.WindowInstance(FunctionId("a.c", "f", 0), i, "x",
+                                                       "memset" if i % 3 == 0 else "")
+                                for i in range(30)])
+    model = tmp_path / "prior.json"
+    model.write_text(json.dumps(PRIOR))
+    out = str(tmp_path / "out.jsonl")
+    return [["rebalance", "--windows", str(win), "--out", out, "--discard-fraction", "0",
+             "--seed", seed],
+            ["rebalance", "--windows", str(win), "--out", out, "--seed", seed],
+            ["predict", "--windows", str(win), "--model", str(model), "--out", out,
+             "--seed", seed]]
+
+
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys) -> None:
+    for argv in _prior_stage_argvs(tmp_path, "-1"):
+        assert cli.run(argv) == 2, argv
+        assert f"uninline {argv[0]}: error: --seed must be a non-negative integer, not -1" \
+            in capsys.readouterr().err
+
+
+def test_seeded_stages_load_no_numpy_random(tmp_path) -> None:
+    """rebalance and prior predict draw from uninline.rng, in a fresh interpreter."""
+    code = ("import sys\nfrom uninline import cli\n"
+            f"for argv in {_prior_stage_argvs(tmp_path, '7')!r}:\n"
+            "    assert cli.run(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p),
+           cli.RUN_ROOT_ENV: str(tmp_path / "runs")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("line", ["0\tx\t97", "0\t97\t300"], ids=["non-integer", "undefined-id"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_body
 from uninline.corpus import DecompiledFunction, FunctionId
@@ -144,6 +146,30 @@ def test_rebalance_kept_count_within_binomial_bound() -> None:
 def test_rebalance_rejects_bad_fraction() -> None:
     with pytest.raises(ValueError):
         rebalance([], discard_fraction=1.0, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5])
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_rebalance_refuses_a_seed_that_is_no_count(fraction, seed) -> None:
+    # also where the fraction is 0 and no draw is made
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        rebalance(_pool(5, 1), fraction, seed)
+
+
+def _oracle_rebalance(pool, fraction, seed):
+    """The loop `rebalance` replaced, drawing from numpy's generator."""
+    rng = np.random.default_rng(seed)
+    return [w for w in pool if w.label != EMPTY or rng.random() >= fraction]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.booleans(), max_size=300),
+       st.floats(0, 1, exclude_max=True), st.integers(0, 2**70))
+def test_rebalance_keeps_what_numpys_draws_keep(labeled, fraction, seed) -> None:
+    fid = FunctionId("x.c", "f", 0)
+    pool = [WindowInstance(fid, i, "line", "memset" if is_labeled else EMPTY)
+            for i, is_labeled in enumerate(labeled)]
+    assert rebalance(pool, fraction, seed) == _oracle_rebalance(pool, fraction, seed)
 
 
 def test_window_records_roundtrip(tmp_path) -> None:
