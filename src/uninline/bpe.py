@@ -29,7 +29,11 @@ as the oracle.
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
 each segment is encoded alone, once per vocabulary object (a memo).
-Consecutive texts share their cuts: each is laid on one byte stream at
+A text encoded alone is not cut byte by byte: `_joins` marks its
+joinable pairs at once, through `bytes.translate` and integer
+operations, and a regular expression finds their runs. Only a run is a
+segment of several bytes; every other byte is its own id. Consecutive
+texts share their cuts: each is laid on one byte stream at
 the first line start where the two agree byte for byte as far as they
 overlap, and only the bytes it adds are cut. Windows slid down a body
 one line at a time thus cut each line once. A cut depends only on the
@@ -59,12 +63,13 @@ that want token strings without replaying merges, and checked on load.
 from __future__ import annotations
 
 import logging
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, compress
 from pathlib import Path
 from threading import Lock
 from typing import Iterable, NoReturn, Sequence
@@ -148,6 +153,23 @@ class BpeVocab:
         return frozenset((tokens[a][-1], tokens[b][0]) for a, b in self.merges)
 
     @cached_property
+    def _join_lanes(self) -> tuple[tuple[bytes, bytes], ...]:
+        """`_joinable` as pairs of `bytes.translate` tables, eight left bytes a lane.
+
+        Each byte that begins a joinable pair has one bit in one lane.
+        The lane's left table maps it to that bit, and its right table
+        maps every byte that may follow it to a set holding that bit.
+        """
+        bit = {x: divmod(k, 8) for k, x in enumerate(sorted({x for x, _ in self._joinable}))}
+        lanes = [(bytearray(256), bytearray(256)) for _ in range((len(bit) + 7) // 8)]
+        for x, y in self._joinable:
+            lane, k = bit[x]
+            left, right = lanes[lane]
+            left[x] = 1 << k
+            right[y] |= 1 << k
+        return tuple((bytes(left), bytes(right)) for left, right in lanes)
+
+    @cached_property
     def _memo(self) -> dict[bytes, tuple[int, ...]]:
         """Ids of every segment encoded so far with this vocabulary."""
         return {}
@@ -190,9 +212,7 @@ def train_bpe(
     if len(toks) == 1:
         log.warning("empty corpus; vocabulary holds only the %d base byte tokens", BASE_TOKENS)
     counts = _byte_pair_counts(T, min_frequency)
-    nxt, prv = array("i"), array("i")
-    nxt.frombytes(memoryview(np.arange(1, len(toks) + 1, dtype=np.intc)).cast("B"))
-    prv.frombytes(memoryview(np.arange(-1, len(toks) - 1, dtype=np.intc)).cast("B"))
+    nxt, prv = _links(len(toks))
     sites: dict[tuple[int, int], array] = {}
     heap = [(-count, pair) for pair, count in counts.items()]
     heapify(heap)
@@ -211,8 +231,7 @@ def train_bpe(
         del counts[pair]
         at = sites.pop(pair, None)
         if at is None:  # a byte pair: a position holding a byte never absorbed its right neighbour
-            a, b = pair
-            at = np.flatnonzero((T[:-1] == a) & (T[1:] == b))
+            at = _byte_pair_sites(T, *pair)
         apply = _merge_loop if len(at) < _ARRAY_MERGE_SITES else _merge_array
         # a new pair only loses sites after this merge: below the floor now, never merged
         for born, live in apply(toks, nxt, prv, at, pair, new, counts, sites, min_frequency):
@@ -350,9 +369,39 @@ def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, ar
             for x, n, end in zip(hit.tolist(), sizes, accumulate(sizes))]
 
 
-# Byte pairs are counted this many stream positions at a time, so the
-# temporaries stay small whatever the corpus size
+# Byte pairs are counted and the links filled this many stream positions
+# at a time, so the temporaries stay small whatever the corpus size
 _PAIR_CHUNK = 1 << 13
+
+
+def _links(n: int) -> tuple[array, array]:
+    """The links of an unmerged stream of n tokens: nxt = 1..n, prv = -1..n - 2.
+
+    Each is allocated once and filled through a numpy view a chunk at a
+    time, with the kernels the trainer uses anyway: a cumulative sum or
+    a full-size range would page in memory a small corpus never needs.
+    """
+    nxt, prv = array("i", [0]) * n, array("i", [0]) * n
+    N, P = np.frombuffer(nxt, dtype=np.intc), np.frombuffer(prv, dtype=np.intc)
+    for lo in range(0, n, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n)
+        N[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.intc)
+        P[lo:hi] = np.arange(lo - 1, hi - 1, dtype=np.intc)
+    return nxt, prv
+
+
+# Byte-pair sites are found this many stream positions at a time: each
+# step makes three boolean temporaries this long, and costs a few numpy calls
+_SITE_CHUNK = 1 << 15
+
+
+def _byte_pair_sites(T: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The ascending positions i of the stream `T` where T[i] == a and T[i + 1] == b."""
+    return np.concatenate([
+        lo + np.flatnonzero((chunk[:-1] == a) & (chunk[1:] == b))
+        for lo in range(0, len(T) - 1, _SITE_CHUNK)
+        for chunk in (T[lo:lo + _SITE_CHUNK + 1],)
+    ])
 
 
 def _byte_pair_counts(T: np.ndarray, floor: int) -> dict[tuple[int, int], int]:
@@ -436,8 +485,9 @@ def encode_span(vocab: BpeVocab, text: str | bytes):
 class _Chain:
     """Consecutive texts laid on one byte stream, which is cut only once.
 
-    `cuts` holds the ascending segment starts of `stream`, from 0. Once
-    indexed, the ids of the segment from cuts[k] to cuts[k + 1] are
+    Until a stream is indexed, `joins` holds `_joins` of it. Once
+    indexed, `cuts` holds the ascending segment starts of `stream`, from
+    0, and the ids of the segment from cuts[k] to cuts[k + 1] are
     toks[tok_at[k]:tok_at[k + 1]]; the last segment is still open and
     has no ids yet. An indexed stream may grow long, so its `cuts` and
     `tok_at` are int arrays, 4 bytes an entry. `start` is where the
@@ -455,13 +505,12 @@ class _Chain:
     shape or order of the texts.
     """
 
-    __slots__ = ("lock", "stream", "cuts", "tok_at", "toks", "start")
+    __slots__ = ("lock", "stream", "joins", "cuts", "tok_at", "toks", "start")
 
     def __init__(self):
         self.lock = Lock()  # laying a text is one compound update of shared state
         self.stream = bytearray()
-        self.cuts = [0]
-        self.tok_at = self.toks = None
+        self.joins = self.cuts = self.tok_at = self.toks = None
         self.start = 0
 
     def __reduce__(self):
@@ -489,21 +538,28 @@ class _Chain:
         return a if start <= a < n and raw.startswith(stream[a:]) else -1
 
     def restart(self, vocab: BpeVocab, raw: bytes) -> list[int]:
-        """Encode `raw` alone and make it the stream, not yet indexed."""
-        joinable = vocab._joinable
-        cuts = [i for i, pair in enumerate(zip(raw, raw[1:]), 1) if pair not in joinable]
-        starts = [0, *cuts]
+        """Encode `raw` alone and make it the stream, not yet indexed.
+
+        Only the runs of joinable byte pairs are looked up or merged:
+        each byte between them is a segment of its own, and its id.
+        """
+        joins = _joins(vocab, raw)
         memo = vocab._memo
         out: list[int] = []
-        for start, end in zip(starts, [*cuts, len(raw)]):  # `_segment_ids`, inlined
-            segment = raw[start:end]
+        end = 0
+        for run in _RUN.finditer(joins):
+            start = run.start()
+            out += raw[end:start]
+            end = run.end()
+            segment = raw[start:end]  # `_segment_ids`, inlined
             ids = memo.get(segment)
             if ids is None:
                 ids = memo[segment] = _merge_segment(vocab, segment)
             out += ids
+        out += raw[end:]
         self.stream = bytearray(raw)
-        self.cuts = starts
-        self.tok_at = self.toks = None
+        self.joins = joins
+        self.cuts = self.tok_at = self.toks = None
         self.start = 0
         return out
 
@@ -511,11 +567,15 @@ class _Chain:
         """Note that `raw` lies at `a`; append and cut what it has past the stream's end."""
         if self.toks is None:  # index the segments `restart` closed
             stream, memo = bytes(self.stream), vocab._memo
-            self.cuts = array("i", self.cuts)
+            # a segment starts at 0 and at each byte not joined to the one before it
+            self.cuts = array("i", [0])
+            self.cuts.extend(compress(range(1, len(stream)), self.joins.translate(_APART)))
             self.toks, self.tok_at = [], array("i", [0])
             for start, end in zip(self.cuts, self.cuts[1:]):
-                self.toks += memo[stream[start:end]]
+                segment = stream[start:end]
+                self.toks += memo[segment] if end - start > 1 else segment
                 self.tok_at.append(len(self.toks))
+            self.joins = None
         self.start = a
         stream = self.stream
         n = len(stream)
@@ -537,6 +597,27 @@ class _Chain:
             toks += ids
             tok_at.append(len(toks))
         self.cuts.fromlist([opened + end for end in ends])
+
+
+# A run of joinable byte pairs in `_joins`: the bytes that join the next
+# one, and the last byte, which does not
+_RUN = re.compile(rb"[^\x00]+\x00")
+# translates `_joins` to 1 where a byte is not joined to the next, 0 elsewhere
+_APART = bytes([1]) + bytes(255)
+
+
+def _joins(vocab: BpeVocab, raw: bytes) -> bytes:
+    """Byte i is nonzero where (raw[i], raw[i + 1]) is joinable, zero elsewhere.
+
+    Each lane's tables (see `BpeVocab._join_lanes`) translate `raw`
+    twice; read as integers, byte i of the first and byte i + 1 of the
+    second share a bit where the pair is joinable through that lane.
+    """
+    joins = 0
+    for left, right in vocab._join_lanes:
+        joins |= (int.from_bytes(raw.translate(left), "little")
+                  & int.from_bytes(raw.translate(right), "little") >> 8)
+    return joins.to_bytes(len(raw), "little")
 
 
 def _segment_ids(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:

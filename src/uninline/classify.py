@@ -23,9 +23,14 @@ Wire protocol (one JSON object per line over a byte stream):
     <- {"id": 1, "label": ""}
 
 Request ids increase strictly over the life of a connection; an empty
-label string denotes EMPTY. An unknown label is mapped to EMPTY and
-logged; a malformed reply, id mismatch, timeout, or closed stream
-raises and drops the whole batch rather than returning partial labels.
+label string denotes EMPTY. Replies come in request order, but the
+client sends requests ahead of them: the endpoint may hold several
+requests unanswered, and one that answers each line as it reads it
+qualifies. An unknown label is mapped to EMPTY and logged; a malformed
+reply, id mismatch, timeout, or closed stream raises and drops the
+whole batch rather than returning partial labels. `spawn_external`
+bounds every wait on its child by a deadline and kills a child that
+misses one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,10 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import os
+import selectors
 import subprocess
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -271,12 +279,20 @@ class ExternalProtocolError(RuntimeError):
     pass
 
 
+# seconds: the longest `spawn_external` waits on its labeler at any one time
+DEFAULT_TIMEOUT = 60.0
+
+
 class ExternalModelClient:
-    """Lock-step request/response channel to an external labeler.
+    """Request/response channel to an external labeler, answered in order.
 
     reader/writer are binary streams (subprocess pipes, socket
-    makefiles). Read timeouts belong to the transport, e.g.
-    socket.settimeout; a timeout surfaces here as a batch error.
+    makefiles). `predict` sends its requests from a feeder thread while
+    it reads the replies, so neither side waits on the other's full
+    pipe. Read timeouts belong to the transport, e.g. socket.settimeout
+    or `spawn_external`'s deadline; a timeout surfaces here as a batch
+    error. On an error the feeder is left to stop at its next request;
+    one blocked in a write stops when the endpoint goes away.
     """
 
     def __init__(
@@ -292,6 +308,7 @@ class ExternalModelClient:
         self._known = None if known_labels is None else frozenset(known_labels)
         self._next_id = 0
         self._ready = False
+        self._feeder: threading.Thread | None = None
 
     def _send(self, obj: dict) -> None:
         self._writer.write(dump_line(obj).encode("utf-8") + b"\n")
@@ -319,15 +336,28 @@ class ExternalModelClient:
             raise ExternalProtocolError(f"handshake rejected: {reply!r}")
         self._ready = True
 
+    def _feed(self, windows: Sequence[WindowInstance], first: int,
+              halt: threading.Event) -> None:
+        """Send one request per window, ids from `first` on, until done or halted."""
+        # a write error ends the feed; the reader then sees the endpoint go quiet or away
+        with contextlib.suppress(OSError):
+            for rid, window in enumerate(windows, first):
+                if halt.is_set():
+                    return
+                self._send({"id": rid, "tokens": encode(self._vocab, window.text)})
+
     def predict(self, windows: Sequence[WindowInstance]) -> list[str]:
         labels: list[str] = []
+        halt = threading.Event()
         try:
             if not self._ready:
                 self.handshake()
-            for window in windows:
-                rid = self._next_id
-                self._next_id += 1
-                self._send({"id": rid, "tokens": encode(self._vocab, window.text)})
+            first = self._next_id
+            self._next_id += len(windows)
+            self._feeder = threading.Thread(target=self._feed, args=(windows, first, halt),
+                                            daemon=True)
+            self._feeder.start()
+            for rid in range(first, self._next_id):
                 reply = self._recv()
                 if check("id", reply.get("id"), INTEGER) != rid:
                     raise ExternalProtocolError(
@@ -338,11 +368,87 @@ class ExternalModelClient:
                     log.warning("unknown label %r from endpoint; recorded as EMPTY", label)
                     label = EMPTY
                 labels.append(label)
-        except ExternalProtocolError:
-            raise
+            # every reply is in, so the endpoint has read every request
+            self._feeder.join()
         except (OSError, ValueError) as exc:
             raise ExternalProtocolError(f"batch failed, partial labels discarded: {exc}") from exc
+        finally:
+            halt.set()  # after an error, a feeder still sending stops at its next request
         return labels
+
+
+class _Pipe:
+    """One end of a pipe to a labeler, on which no wait lasts over `timeout` seconds.
+
+    The descriptor does not block: a read or write goes straight to it,
+    and only when it is not ready does a selector wait for it.
+    """
+
+    def __init__(self, file: BinaryIO, event: int, timeout: float):
+        self._file = file
+        self._fd = file.fileno()
+        os.set_blocking(self._fd, False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._fd, event)
+        self._timeout = timeout
+        self._buffer = bytearray()
+
+    @property
+    def closed(self) -> bool:
+        return self._file.closed
+
+    def _wait(self, what: str) -> None:
+        if not self._selector.select(self._timeout):
+            raise TimeoutError(f"labeler {what} for {self._timeout:g} s")
+
+    def readline(self) -> bytes:
+        """The next line, or what is left before end of stream (b"" at its end)."""
+        while not (end := self._buffer.find(b"\n") + 1):
+            try:
+                chunk = os.read(self._fd, 1 << 16)
+            except BlockingIOError:
+                self._wait("sent nothing")
+                continue
+            if not chunk:
+                end = len(self._buffer)
+                break
+            self._buffer += chunk
+        line = bytes(self._buffer[:end])
+        del self._buffer[:end]
+        return line
+
+    def write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(self._fd, view):]
+            except BlockingIOError:
+                self._wait("took no input")
+
+    def flush(self) -> None:
+        pass  # nothing is buffered
+
+    def close(self) -> None:
+        self._selector.close()
+        self._file.close()
+
+
+def _reap(proc: subprocess.Popen, timeout: float) -> None:
+    """Wait at most `timeout` seconds for `proc` to exit, then reap it."""
+    try:
+        exited = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # no pidfd on this system: Popen.wait polls
+        proc.wait(timeout)
+        return
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(exited, selectors.EVENT_READ)
+            if not selector.select(timeout):
+                raise TimeoutError(f"labeler did not exit within {timeout:g} s "
+                                   "of its input closing")
+    finally:
+        os.close(exited)
+    proc.wait()
 
 
 @contextlib.contextmanager
@@ -350,25 +456,43 @@ def spawn_external(
     argv: Sequence[str],
     vocab: BpeVocab,
     known_labels: Iterable[str] | None = None,
+    timeout: float = DEFAULT_TIMEOUT,
 ):
     """Run an external labeler subprocess for the duration of the block.
 
-    On exit the child's stdin is closed, the child is reaped (killed if
-    it has not exited within 10 s), and then its stdout is closed.
+    No wait on the child lasts over `timeout` seconds: for its
+    handshake, for it to accept request bytes, for its next reply
+    bytes, or for it to exit. When the block ends, the child's stdin is
+    closed, its stdout read to the end and the child reaped; a wait
+    there that times out raises ExternalProtocolError. If anything
+    raises, or a failed batch left its feeder thread sending, the child
+    is killed, and its pipes are closed only after the feeder has
+    stopped.
     """
-    proc = subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    proc = subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            bufsize=0)
+    reader = _Pipe(proc.stdout, selectors.EVENT_READ, timeout)
+    writer = _Pipe(proc.stdin, selectors.EVENT_WRITE, timeout)
+    client = ExternalModelClient(reader, writer, vocab, known_labels)
     try:
-        yield ExternalModelClient(proc.stdout, proc.stdin, vocab, known_labels)
-    finally:
-        with contextlib.suppress(OSError):
-            proc.stdin.close()
+        yield client
+        if client._feeder is not None and client._feeder.is_alive():
+            return  # a batch failed while its feeder still sends: the child is killed
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
+            writer.close()
+            while reader.readline():  # to end of stream, which the child's exit brings
+                pass
+            _reap(proc, timeout)
+        except (TimeoutError, subprocess.TimeoutExpired) as exc:
+            raise ExternalProtocolError(f"{exc}; killed") from None
+    finally:
+        if proc.returncode is None:
             proc.kill()
             proc.wait()
-        finally:
-            proc.stdout.close()
+        if client._feeder is not None:
+            client._feeder.join()
+        writer.close()
+        reader.close()
 
 
 # one token_counts triple, indented as json.dumps(indent=1) indents it

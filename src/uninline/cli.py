@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import shlex
 import sys
@@ -225,9 +226,13 @@ def _cmd_predict(args) -> int:
     if args.external:
         if not args.vocab:
             raise ValueError("--external requires --vocab for request tokenization")
+        if not 0 < args.external_timeout < math.inf:
+            raise ValueError("--external-timeout must be a positive number of seconds, "
+                             f"not {args.external_timeout:g}")
         vocab = bpe.load_vocab(args.vocab)
         known = corpus.load_targets(args.targets).name_set if args.targets else None
-        with classify.spawn_external(shlex.split(args.external), vocab, known) as client:
+        with classify.spawn_external(shlex.split(args.external), vocab, known,
+                                     args.external_timeout) as client:
             labels = client.predict(pool)
         inputs.append(args.vocab)
         if args.targets:
@@ -426,6 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling seed (prior models)")
     p.add_argument("--external", help="command line of an external labeler process")
     p.add_argument("--targets", help="label whitelist for external predictions")
+    p.add_argument("--external-timeout", type=float, default=classify.DEFAULT_TIMEOUT,
+                   metavar="SECONDS",
+                   help="longest wait on the external labeler before it is killed "
+                        "(default %(default)g)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("coalesce", help="collapse label sequences into recovery multisets")

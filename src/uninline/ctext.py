@@ -16,6 +16,7 @@ carries over: the next line is blank up to its first `*/`.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -117,21 +118,37 @@ def find_call_sites(
     as is anything at brace depth below `min_depth`, which excludes
     declarations, prototypes, and definition headers at file scope.
     Results are in source order.
+
+    A line whose lowercased code holds no name holds no call of one:
+    its identifiers are not matched, only its braces counted.
     """
     sites = []
     depth = 0
+    holds_name = _name_search(frozenset(names))
     for lineno, view in enumerate(code_views(lines)):
-        for match in IDENT_RE.finditer(view):
-            if match.group(0).lower() not in names:
-                continue
-            rest = view[match.end():].lstrip()
-            if not rest.startswith("("):
-                continue
-            before = view[: match.start()].rstrip()
-            if before.endswith(".") or before.endswith("->"):
-                continue
-            here = depth + view[: match.start()].count("{") - view[: match.start()].count("}")
-            if here >= min_depth:
-                sites.append(CallSite(lineno, match.start(), match.group(0).lower()))
+        if holds_name(view.lower()):
+            for match in IDENT_RE.finditer(view):
+                if match.group(0).lower() not in names:
+                    continue
+                rest = view[match.end():].lstrip()
+                if not rest.startswith("("):
+                    continue
+                before = view[: match.start()].rstrip()
+                if before.endswith(".") or before.endswith("->"):
+                    continue
+                here = depth + view[: match.start()].count("{") - view[: match.start()].count("}")
+                if here >= min_depth:
+                    sites.append(CallSite(lineno, match.start(), match.group(0).lower()))
         depth += view.count("{") - view.count("}")
     return sites
+
+
+@functools.lru_cache(maxsize=8)
+def _name_search(names: frozenset[str]):
+    """The `search` of a pattern that finds any of `names` in a text.
+
+    An identifier is ASCII, so where it stands in a line its lowercase
+    form stands in the lowercased line: a lowercased line that holds
+    no name holds no identifier whose lowercase form is one.
+    """
+    return re.compile("|".join(map(re.escape, sorted(names)))).search

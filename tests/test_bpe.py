@@ -230,6 +230,7 @@ def test_stream_setup_matches_loop_oracle(corpus, limit, min_frequency, chunk,
                                           array_sites) -> None:
     # small chunks put chunk edges at every place, separators included
     with mock.patch.object(bpe, "_PAIR_CHUNK", chunk), \
+            mock.patch.object(bpe, "_SITE_CHUNK", chunk), \
             mock.patch.object(bpe, "_ARRAY_MERGE_SITES", array_sites):
         vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
     assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
@@ -433,6 +434,77 @@ def test_encode_matches_rescan_oracle_over_window_sequences(case, limit) -> None
     vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
     assert [encode(vocab, text) for text in texts] == [_oracle_encode(vocab, text)
                                                         for text in texts]
+
+
+# twelve byte values, the zero byte among them: a vocabulary's pairs then
+# begin with more than the eight bytes one lane of `bpe._joins` holds
+_ALPHABET = b"ab\n \x00\x01\xc3\xa9\xff{}x"
+_ALPHABET_TEXT = st.lists(st.sampled_from(_ALPHABET), max_size=40).map(bytes)
+
+
+@st.composite
+def _vocabs(draw):
+    """Merge lists over `_ALPHABET`, any of them listed twice, each id defined before use."""
+    merges = []
+    for rank in range(draw(st.integers(0, 40))):
+        part = st.sampled_from(_ALPHABET)
+        if rank:
+            part = st.one_of(part, st.integers(BASE_TOKENS, BASE_TOKENS + rank - 1))
+        merges.append((draw(part), draw(part)))
+    return BpeVocab(tuple(merges), vocab_size_limit=BASE_TOKENS + 40)
+
+
+def _adjacent(vocab) -> set:
+    """The byte pairs that sit side by side in some token's bytes."""
+    return {pair for token in vocab.token_bytes() for pair in zip(token, token[1:])}
+
+
+_AA = BpeVocab(((97, 97),), vocab_size_limit=300)
+_AB = BpeVocab(((97, 98), (98, 97), (256, 97)), vocab_size_limit=300)
+_TWO_LANES = BpeVocab(tuple((x, 97) for x in _ALPHABET), vocab_size_limit=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab=_vocabs(), raw=_ALPHABET_TEXT)
+@example(vocab=_AA, raw=b"")
+@example(vocab=_AA, raw=b"a")
+@example(vocab=_AA, raw=b"aaa")
+@example(vocab=_AA, raw=b"ab\nb a")  # no pair joins
+@example(vocab=_AB, raw=b"abababa")  # every pair joins
+@example(vocab=_TWO_LANES, raw=b"{a}a\xffa\x00a\x01ab")
+def test_restart_by_runs_matches_rescan_oracle(vocab, raw) -> None:
+    """The ids of a text encoded alone, and the cuts of its stream once a text
+    lies on it, are the rescan's ids and the cuts by definition."""
+    adjacent = _adjacent(vocab)
+    joined = [pair in adjacent for pair in zip(raw, raw[1:])] + [False] * len(raw[:1])
+    assert [bool(flag) for flag in bpe._joins(vocab, raw)] == joined
+    chain = bpe._Chain()
+    assert chain.restart(vocab, raw) == _oracle_encode(vocab, raw)
+    chain.extend(vocab, raw, 0)  # the same text, laid on the stream it started
+    starts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
+    assert list(chain.cuts) == starts
+    assert [chain.toks[chain.tok_at[k]:chain.tok_at[k + 1]] for k in range(len(starts) - 1)] \
+        == [_oracle_encode(vocab, raw[i:j]) for i, j in zip(starts, starts[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=2, max_size=60),
+       pair=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       chunk=st.sampled_from([1, 2, 3, 7, bpe._SITE_CHUNK]))
+def test_byte_pair_sites_match_one_scan(ids, pair, chunk) -> None:
+    T = np.array(ids, dtype=np.intc)
+    with mock.patch.object(bpe, "_SITE_CHUNK", chunk):
+        sites = bpe._byte_pair_sites(T, *pair)
+    a, b = pair
+    assert sites.tolist() == np.flatnonzero((T[:-1] == a) & (T[1:] == b)).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, bpe._PAIR_CHUNK])
+def test_links_fill_every_chunk(chunk) -> None:
+    with mock.patch.object(bpe, "_PAIR_CHUNK", chunk):
+        for n in range(1, 12):
+            nxt, prv = bpe._links(n)
+            assert (nxt.tolist(), prv.tolist()) == (list(range(1, n + 1)), list(range(-1, n - 1)))
 
 
 def test_encode_on_one_vocab_from_many_threads() -> None:

@@ -7,9 +7,9 @@ import json
 import math
 import pickle
 import random
-import subprocess
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -37,6 +37,7 @@ from uninline.classify import (
     spawn_external,
 )
 from uninline.corpus import FunctionId
+from uninline.jsonl import dump_line
 from uninline.windows import EMPTY, WindowInstance
 
 FID = FunctionId("x.c", "f", 0)
@@ -535,19 +536,12 @@ def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:
     assert client._reader.closed
 
 
-def test_external_reader_closed_after_a_kill(monkeypatch) -> None:
+def test_external_reader_closed_after_a_kill() -> None:
     vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
-    real_wait = subprocess.Popen.wait
-
-    def impatient_wait(self, timeout=None):
-        if timeout is not None:
-            raise subprocess.TimeoutExpired(self.args, timeout)
-        return real_wait(self)
-
-    monkeypatch.setattr(subprocess.Popen, "wait", impatient_wait)
     argv = [sys.executable, "-c", "import time; time.sleep(60)"]  # ignores its stdin
-    with spawn_external(argv, vocab) as client:
-        pass
+    with pytest.raises(ExternalProtocolError, match="killed"):
+        with spawn_external(argv, vocab, timeout=0.5) as client:
+            pass
     assert client._reader.closed
 
 
@@ -557,3 +551,93 @@ def test_external_closed_stream_is_batch_error(tmp_path) -> None:
     with spawn_external(argv, vocab) as client:
         with pytest.raises(ExternalProtocolError):
             client.predict([_w("a")])
+
+
+# holds three requests before it answers them: a client that waits for each
+# reply before its next request waits forever
+SERVER_GROUPS_OF_THREE = """\
+import json, sys
+hs = json.loads(sys.stdin.readline())
+sys.stdout.write(json.dumps(hs) + "\\n"); sys.stdout.flush()
+held = []
+for line in sys.stdin:
+    held.append(json.loads(line))
+    if len(held) == 3:
+        for req in held:
+            reply = {"id": req["id"], "label": str(len(req["tokens"]))}
+            sys.stdout.write(json.dumps(reply) + "\\n")
+        sys.stdout.flush()
+        held.clear()
+"""
+
+
+def test_external_endpoint_may_read_requests_ahead_of_its_replies(tmp_path) -> None:
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    ws = [_w("ab" * k) for k in range(9)]
+    with spawn_external(_server(tmp_path, SERVER_GROUPS_OF_THREE), vocab, timeout=30) as client:
+        assert client.predict(ws) == [str(len(encode(vocab, w.text))) for w in ws]
+
+
+# answers each request as it reads it, with a label of about 200 bytes
+SERVER_LONG_LABELS = """\
+import json, sys
+hs = json.loads(sys.stdin.readline())
+sys.stdout.write(json.dumps(hs) + "\\n"); sys.stdout.flush()
+for line in sys.stdin:
+    req = json.loads(line)
+    sys.stdout.write(json.dumps({"id": req["id"], "label": "%d" % req["id"] + "." * 200}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_external_batch_larger_than_a_pipe_buffer_each_way(tmp_path) -> None:
+    # a client that wrote every request before reading a reply would fill the
+    # labeler's output pipe, and the labeler would stop reading its input
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    ws = [_w(f"window {k} " + "x" * 60) for k in range(1500)]
+    labels = ["%d" % k + "." * 200 for k in range(len(ws))]
+    sent = sum(len(dump_line({"id": k, "tokens": encode(vocab, w.text)})) + 1
+               for k, w in enumerate(ws))
+    assert min(sent, sum(len(label) for label in labels)) > 1 << 16
+    with spawn_external(_server(tmp_path, SERVER_LONG_LABELS), vocab, timeout=30) as client:
+        assert client.predict(ws) == labels
+
+
+# answers its first request with a wrong id, then reads nothing more
+SERVER_WRONG_ID_THEN_DEAF = """\
+import json, sys, time
+sys.stdout.write(sys.stdin.readline()); sys.stdout.flush()
+req = json.loads(sys.stdin.readline())
+sys.stdout.write(json.dumps({"id": req["id"] + 7, "label": ""}) + "\\n"); sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+@pytest.mark.parametrize("caught", ["outside", "inside"])
+def test_external_error_mid_batch_ends_the_labeler_at_once(tmp_path, caught) -> None:
+    # the feeder fills the pipe the labeler no longer reads and waits in a write;
+    # the block ends with the batch error or, caught inside it, normally
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    ws = [_w("x" * 80) for _ in range(3000)]
+    argv = _server(tmp_path, SERVER_WRONG_ID_THEN_DEAF)
+    started = time.monotonic()
+    if caught == "inside":
+        with spawn_external(argv, vocab, timeout=30) as client:
+            with pytest.raises(ExternalProtocolError, match="does not match request 0"):
+                client.predict(ws)
+    else:
+        with pytest.raises(ExternalProtocolError, match="does not match request 0"):
+            with spawn_external(argv, vocab, timeout=30) as client:
+                client.predict(ws)
+    assert time.monotonic() - started < 20
+    assert client._reader.closed and not client._feeder.is_alive()
+
+
+def test_external_exit_waits_without_sleeping(tmp_path, monkeypatch) -> None:
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    with spawn_external(_server(tmp_path, SERVER_OK), vocab) as client:
+        client.predict([_w("a"), _w("b")])
+    assert slept == []
+    assert client._reader.closed

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from conftest import make_body
@@ -349,6 +350,57 @@ def test_predict_external(tmp_path) -> None:
     assert rc == 0
     (seq,) = coalesce.read_label_sequences(out_path)
     assert seq.labels == ("memset",) * 3
+
+
+# answers the handshake unless ANSWERED is negative, then that many requests,
+# then stops answering but stays alive
+STALLING_SERVER = """\
+import json, sys, time
+answered = int(sys.argv[1])
+if answered >= 0:
+    sys.stdout.write(sys.stdin.readline()); sys.stdout.flush()
+for line in sys.stdin:
+    if answered <= 0:
+        time.sleep(60)
+    answered -= 1
+    sys.stdout.write(json.dumps({"id": json.loads(line)["id"], "label": ""}) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def _external_predict_argv(tmp_path, command: str, *extra: str) -> list[str]:
+    vocab_path = tmp_path / "vocab.tsv"
+    bpe.save_vocab(vocab_path, bpe.train_bpe(["ab ab"], vocab_size=257, min_frequency=1))
+    win_path = tmp_path / "w.jsonl"
+    windows.write_windows(
+        win_path, windows.scan_windows(make_body("f", 22), windows.WindowSpec())
+    )
+    return ["predict", "--windows", str(win_path), "--external", command,
+            "--vocab", str(vocab_path), "--out", str(tmp_path / "labels.jsonl"), *extra]
+
+
+@pytest.mark.parametrize("answered", [-1, 1], ids=["no-handshake", "mid-batch"])
+def test_predict_external_timeout_kills_a_silent_labeler(tmp_path, capsys, answered) -> None:
+    script = tmp_path / "server.py"
+    script.write_text(STALLING_SERVER)
+    command = shlex.join([sys.executable, str(script), str(answered)])
+    argv = _external_predict_argv(tmp_path, command, "--external-timeout", "0.5")
+    started = time.monotonic()
+    assert cli.run(argv) == 2
+    assert time.monotonic() - started < 10  # the labeler alone would take 60 s
+    err = capsys.readouterr().err
+    assert err == ("uninline predict: error: batch failed, partial labels discarded: "
+                   "labeler sent nothing for 0.5 s\n")
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_predict_external_timeout_must_be_positive(tmp_path, capsys, value) -> None:
+    command = shlex.join([sys.executable, "-c", "pass"])
+    argv = _external_predict_argv(tmp_path, command, "--external-timeout", value)
+    assert cli.run(argv) == 2
+    assert (f"uninline predict: error: --external-timeout must be a positive number of "
+            f"seconds, not {value}") in capsys.readouterr().err
 
 
 def test_predict_requires_model_or_external(tmp_path) -> None:

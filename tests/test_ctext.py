@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uninline.ctext import (
+    IDENT_RE,
     START_STATE,
     CallSite,
     ScanState,
@@ -191,3 +192,47 @@ def test_code_views_carry_state_like_character_loop(lines) -> None:
         view, state = oracle_code_view(line, state)
         expected.append(view)
     assert code_views(lines) == expected
+
+
+def oracle_find_call_sites(lines, names, min_depth: int = 1) -> list[CallSite]:
+    """The loop that matched every identifier of every line, kept as the
+    reference for `find_call_sites`, which skips lines that hold no name."""
+    sites = []
+    depth = 0
+    for lineno, view in enumerate(code_views(lines)):
+        for match in IDENT_RE.finditer(view):
+            if match.group(0).lower() not in names:
+                continue
+            rest = view[match.end():].lstrip()
+            if not rest.startswith("("):
+                continue
+            before = view[: match.start()].rstrip()
+            if before.endswith(".") or before.endswith("->"):
+                continue
+            here = depth + view[: match.start()].count("{") - view[: match.start()].count("}")
+            if here >= min_depth:
+                sites.append(CallSite(lineno, match.start(), match.group(0).lower()))
+        depth += view.count("{") - view.count("}")
+    return sites
+
+
+# names that hold one another, in mixed case, a name that is no lowercase
+# identifier, and characters whose lowercase form is longer (U+0130) or ASCII
+# (U+212A, the Kelvin sign): `find_call_sites` searches lowercased lines
+NAMES = ["memset", "mem", "set", "memsetx", "x", "Free", "k", "é"]
+CALL_PIECES = [*NAMES, "MEMSET", "MemSet", "FREE", "free", "İ", "K", "K", "_",
+               "1", " ", "(", ")", "{", "}", ".", "->", ";", "\t", '"', "'", "//", "/*",
+               "*/", "#", "\\"]
+CALL_LINES = st.lists(st.sampled_from(CALL_PIECES), max_size=14).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(CALL_LINES, max_size=8),
+       names=st.sets(st.sampled_from(NAMES), max_size=4), min_depth=st.integers(0, 2))
+@example(lines=["{", 'memset("memset(") /* memset( */ x.memset(); MEMSET (', "}"],
+         names={"memset", "set"}, min_depth=1)
+@example(lines=["{ İmemset(", "K(", "k("], names={"memset", "k"}, min_depth=1)
+@example(lines=["{", "free(", "Free("], names={"Free"}, min_depth=0)
+def test_find_call_sites_matches_every_line_loop(lines, names, min_depth) -> None:
+    assert (find_call_sites(lines, frozenset(names), min_depth)
+            == oracle_find_call_sites(lines, frozenset(names), min_depth))
