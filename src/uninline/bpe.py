@@ -390,8 +390,10 @@ def _links(n: int) -> tuple[array, array]:
     return nxt, prv
 
 
-# Byte-pair sites are found this many stream positions at a time: each
-# step makes three boolean temporaries this long, and costs a few numpy calls
+# Byte-pair sites are found this many stream positions at a time, each step
+# with three boolean temporaries this long. It is larger than `_PAIR_CHUNK`
+# because a scan runs once per byte-pair merge, and each step's fixed numpy
+# overhead costs about what scanning 8,192 positions does
 _SITE_CHUNK = 1 << 15
 
 
