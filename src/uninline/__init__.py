@@ -66,7 +66,6 @@ from .evaluate import (
     CorrelationReport,
     EvalCounts,
     EvalReport,
-    aggregate,
     frequency_correlation,
     pearson,
     score_by_name,

@@ -3,13 +3,16 @@
 Three interchangeable kinds:
 
 * prior: ignores window text, samples labels from training frequencies.
-  The draw for a window depends only on (seed, sequence position), so a
-  replayed run reproduces every label.
+  The window at position i of a sequence takes the draw of (seed, i),
+  so a replayed run reproduces every label, and a prefix of a sequence
+  draws what the whole sequence draws there.
 * token_stats: additive-smoothed per-label token statistics; predicts
   the label maximizing log prior + sum of token log-likelihoods, ties
-  toward EMPTY then lexicographic order. `predict_token_stats` scores
-  one window; `predict_token_stats_batch` scores many from prefix sums
-  over the byte streams they share and gives the same labels.
+  toward EMPTY then lexicographic order. Priors are not smoothed: a
+  label with no training window has a -inf prior and never wins.
+  `predict_token_stats` scores one window; `predict_token_stats_batch`
+  scores many from prefix sums over the byte streams they share and
+  gives the same labels.
 * external: a separate process or socket speaking a newline-delimited
   JSON protocol; this module tokenizes, the endpoint labels.
 
@@ -80,12 +83,6 @@ class PriorModel:
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
 
-    def probability(self, label: str) -> float:
-        try:
-            return float(self.probs[self.labels.index(label)])
-        except ValueError:
-            return 0.0
-
 
 def fit_prior(train: Sequence[WindowInstance]) -> PriorModel:
     """Label frequency over the training windows, EMPTY included."""
@@ -100,10 +97,11 @@ def fit_prior(train: Sequence[WindowInstance]) -> PriorModel:
 
 
 def predict_prior_sequence(
-    model: PriorModel, windows: Sequence[WindowInstance], seed: int, start_position: int = 0
+    model: PriorModel, windows: Sequence[WindowInstance], seed: int
 ) -> list[str]:
+    """One label per window; the window at position i takes the draw of (seed, i)."""
     cum = np.cumsum(model.probs).tolist()
-    return [_draw(model, cum, seed, start_position + i) for i in range(len(windows))]
+    return [_draw(model, cum, seed, i) for i in range(len(windows))]
 
 
 def _draw(model: PriorModel, cum: list[float], seed: int, position: int) -> str:
@@ -121,8 +119,8 @@ class TokenStatsModel:
     token_counts: np.ndarray  # (labels, vocab.size)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("smoothing constant must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("smoothing constant must be positive and finite")
         if self.token_counts.shape != (len(self.labels), self.vocab.size):
             raise ValueError("token count table shape disagrees with labels or vocabulary")
         totals = self.token_counts.sum(axis=1, keepdims=True)
@@ -145,13 +143,11 @@ def fit_token_stats(
     train: Sequence[WindowInstance],
     vocab: BpeVocab,
     alpha: float = 1.0,
-    *,
-    extra_labels: Iterable[str] = (),
 ) -> TokenStatsModel:
-    """Count tokens per label; priors stay unsmoothed so unseen labels never win."""
+    """Count tokens per label of the training windows, and the windows of each label."""
     if not train:
         raise ValueError("cannot fit token statistics on an empty training set")
-    labels = _label_order([w.label for w in train] + list(extra_labels))
+    labels = _label_order(w.label for w in train)
     index = {l: i for i, l in enumerate(labels)}
     window_counts = np.zeros(len(labels), dtype=np.int64)
     token_counts = np.zeros((len(labels), vocab.size), dtype=np.int64)

@@ -189,6 +189,8 @@ def _cmd_rebalance(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if not 0 < args.alpha < math.inf:
+        raise ValueError(f"--alpha must be a positive finite number, not {args.alpha:g}")
     train = windows.read_windows(args.windows)
     if args.kind == "prior":
         model = classify.fit_prior(train)

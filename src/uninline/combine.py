@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import FunctionId
 from .jsonl import COUNT, STRING, Kind, check, field, read_records, write_jsonl
@@ -36,9 +36,6 @@ class RecoveryMultiset:
             self, "counts", tuple(sorted((n, c) for n, c in items.items() if c > 0))
         )
 
-    def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self.counts)
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 
@@ -51,10 +48,6 @@ class RecoveryMultiset:
     @property
     def total(self) -> int:
         return sum(c for _, c in self.counts)
-
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self.counts)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.counts)

@@ -159,12 +159,18 @@ _FREQUENCY = Kind(lambda v: COUNT.test(v) and v <= _MAX_FREQUENCY,
                   "a non-negative integer of at most 2**53")
 
 
+def _normalize(name: str) -> str:
+    return name.strip().lower()
+
+
 @dataclass(frozen=True)
 class TargetFunctionSet:
     """The library functions the pipeline tries to recover.
 
     Names are lowercased; matching throughout the toolkit is
-    case-insensitive via this normalization.
+    case-insensitive via this normalization. `from_names` strips and
+    lowercases each name and each frequency's key alike, and membership
+    is tested on `name_set`.
     """
 
     names: tuple[str, ...]
@@ -190,27 +196,33 @@ class TargetFunctionSet:
         normalized = []
         seen = set()
         for name in names:
-            low = name.strip().lower()
+            low = _normalize(name)
             if low and low not in seen:
                 normalized.append(low)
                 seen.add(low)
-        freqs = {k.lower(): check("frequency", v, _FREQUENCY)
+        freqs = {_normalize(k): check("frequency", v, _FREQUENCY)
                  for k, v in (frequencies or {}).items()}
         return cls(tuple(normalized), freqs)
 
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self.name_set
-
 
 def load_targets(path: str | Path) -> TargetFunctionSet:
-    """Read a target list: one ``name`` or ``name<TAB>frequency`` per line."""
+    """Read a target list: one ``name`` or ``name<TAB>frequency`` per line.
+
+    Both fields are stripped of surrounding whitespace; a line with an
+    empty name or more than two tab-separated fields is refused.
+    """
     names = []
     freqs = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
+        parts = [part.strip() for part in raw.rstrip().split("\t")]
+        if len(parts) > 2:
+            raise ValueError(f"{path}:{lineno}: expected name or name<TAB>frequency, "
+                             f"not {len(parts)} tab-separated fields")
+        if not parts[0]:
+            raise ValueError(f"{path}:{lineno}: empty name before the frequency")
         names.append(parts[0])
         if len(parts) > 1:
             text = parts[1]
@@ -222,7 +234,7 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
             if len(text.lstrip("0")) > len(str(_MAX_FREQUENCY)) or int(text) > _MAX_FREQUENCY:
                 raise ValueError(f"{path}:{lineno}: frequency must be at most 2**53, "
                                  f"not {reprlib.repr(text)}")
-            freqs[parts[0].lower()] = int(text)
+            freqs[parts[0]] = int(text)
     return TargetFunctionSet.from_names(names, freqs)
 
 

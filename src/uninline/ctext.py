@@ -108,15 +108,13 @@ class CallSite(NamedTuple):
     name: str
 
 
-def find_call_sites(
-    lines: Iterable[str], names: frozenset[str] | set[str], min_depth: int = 1
-) -> list[CallSite]:
+def find_call_sites(lines: Iterable[str], names: frozenset[str] | set[str]) -> list[CallSite]:
     """Locate invocations of `names`: an identifier directly followed by `(`.
 
     Matching is lexical and case-insensitive against the (lowercased)
     `names`. Member accesses (`p->free(..)`, `obj.free(..)`) are skipped,
-    as is anything at brace depth below `min_depth`, which excludes
-    declarations, prototypes, and definition headers at file scope.
+    as is anything at file scope (brace depth 0): declarations,
+    prototypes and definition headers.
     Results are in source order.
 
     A line whose lowercased code holds no name holds no call of one:
@@ -137,7 +135,7 @@ def find_call_sites(
                 if before.endswith(".") or before.endswith("->"):
                     continue
                 here = depth + view[: match.start()].count("{") - view[: match.start()].count("}")
-                if here >= min_depth:
+                if here >= 1:
                     sites.append(CallSite(lineno, match.start(), match.group(0).lower()))
         depth += view.count("{") - view.count("}")
     return sites

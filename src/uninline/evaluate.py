@@ -1,4 +1,4 @@
-"""Multiset scoring, aggregation, and frequency correlation.
+"""Multiset scoring and frequency correlation.
 
 Counting is per name: with p predicted and g true instances of a name,
 min(p, g) are true positives, the excess on either side is false
@@ -85,14 +85,6 @@ class EvalReport:
     by_name: dict[str, EvalCounts] = field(default_factory=dict)
 
     @property
-    def precision(self) -> float:
-        return self.overall.precision
-
-    @property
-    def recall(self) -> float:
-        return self.overall.recall
-
-    @property
     def f1(self) -> float:
         return self.overall.f1
 
@@ -153,34 +145,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def aggregate(
-    per_function: Sequence[EvalCounts],
-    optlevels: Sequence[str | None] | None = None,
-    by_name: Sequence[Mapping[str, EvalCounts]] | None = None,
-) -> EvalReport:
-    """Fold per-function counts into one report.
-
-    optlevels and by_name run parallel to per_function when given; a
-    missing optimization tag lands under "untagged".
-    """
-    overall = EvalCounts()
-    for c in per_function:
-        overall = overall + c
-    by_opt: dict[str, EvalCounts] = {}
-    if optlevels is not None:
-        if len(optlevels) != len(per_function):
-            raise ValueError("optlevels must align with per_function")
-        for c, level in zip(per_function, optlevels):
-            key = level if level is not None else UNTAGGED
-            by_opt[key] = by_opt.get(key, EvalCounts()) + c
-    name_totals: dict[str, EvalCounts] = {}
-    if by_name is not None:
-        for mapping in by_name:
-            for name, c in mapping.items():
-                name_totals[name] = name_totals.get(name, EvalCounts()) + c
-    return EvalReport(overall, by_opt, name_totals)
-
-
 def score_recoveries(
     predicted: Sequence[FunctionRecovery], truth: Sequence[FunctionRecovery]
 ) -> EvalReport:
@@ -195,21 +159,21 @@ def score_recoveries(
         raise ValueError("duplicate function id among predictions")
     if len(truth_by_id) != len(truth):
         raise ValueError("duplicate function id among truth records")
-    ids = sorted(pred_by_id.keys() | truth_by_id.keys())
-    counts = []
-    levels = []
-    names = []
+    overall = EvalCounts()
+    by_opt: dict[str, EvalCounts] = {}
+    by_name: dict[str, EvalCounts] = {}
     empty = RecoveryMultiset()
-    for fid in ids:
+    for fid in sorted(pred_by_id.keys() | truth_by_id.keys()):
         p = pred_by_id.get(fid)
         g = truth_by_id.get(fid)
-        pm = p.counts if p else empty
-        gm = g.counts if g else empty
-        by_name = score_by_name(pm, gm)
-        counts.append(_function_counts(by_name))
-        names.append(by_name)
-        levels.append(p.optlevel if p and p.optlevel is not None else (g.optlevel if g else None))
-    return aggregate(counts, levels, names)
+        names = score_by_name(p.counts if p else empty, g.counts if g else empty)
+        counts = _function_counts(names)
+        overall += counts
+        key = next((r.optlevel for r in (p, g) if r and r.optlevel is not None), UNTAGGED)
+        by_opt[key] = by_opt.get(key, EvalCounts()) + counts
+        for name, c in names.items():
+            by_name[name] = by_name.get(name, EvalCounts()) + c
+    return EvalReport(overall, by_opt, by_name)
 
 
 @dataclass(frozen=True)

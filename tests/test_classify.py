@@ -51,21 +51,20 @@ def test_fit_prior_counts_frequencies() -> None:
     train = [_w("a")] * 80 + [_w("b", "memset")] * 20
     model = fit_prior(train)
     assert model.labels == (EMPTY, "memset")
-    assert model.probability(EMPTY) == pytest.approx(0.8)
-    assert model.probability("memset") == pytest.approx(0.2)
+    assert model.probs.tolist() == pytest.approx([0.8, 0.2])
 
 
 def test_fit_prior_single_label() -> None:
     model = fit_prior([_w("a", "strcpy")] * 7)
-    assert model.probability("strcpy") == 1.0
+    assert model.labels == ("strcpy",)
+    assert model.probs.tolist() == [1.0]
 
 
 def test_fit_prior_three_label_tally() -> None:
     train = [_w("x")] * 5 + [_w("x", "aa")] * 3 + [_w("x", "bb")] * 2
     model = fit_prior(train)
-    assert model.probability(EMPTY) == pytest.approx(0.5)
-    assert model.probability("aa") == pytest.approx(0.3)
-    assert model.probability("bb") == pytest.approx(0.2)
+    assert model.labels == (EMPTY, "aa", "bb")
+    assert model.probs.tolist() == pytest.approx([0.5, 0.3, 0.2])
 
 
 def test_fit_prior_empty_refused() -> None:
@@ -80,17 +79,16 @@ def test_prior_replay_is_identical() -> None:
     second = predict_prior_sequence(model, ws, seed=42)
     assert first == second
     assert first != predict_prior_sequence(model, ws, seed=43)
-    # a sequence draws what one-window sequences at the same positions draw
-    assert first == [predict_prior_sequence(model, [w], seed=42, start_position=i)[0]
-                     for i, w in enumerate(ws)]
-    assert predict_prior_sequence(model, ws[:50], seed=42, start_position=7) == first[7:57]
+    # the window at position i takes the draw of (seed, i): a prefix draws what
+    # the whole sequence draws there
+    assert predict_prior_sequence(model, ws[:50], seed=42) == first[:50]
 
 
-def _oracle_prior(model, count, seed, start):
+def _oracle_prior(model, count, seed):
     """The draw `predict_prior_sequence` replaced: numpy's generator, one per position."""
     cum = np.cumsum(model.probs)
     out = []
-    for position in range(start, start + count):
+    for position in range(count):
         u = np.random.default_rng((seed, position)).random()
         idx = int(np.searchsorted(cum, u, side="right"))
         out.append(model.labels[min(idx, len(model.labels) - 1)])
@@ -99,12 +97,12 @@ def _oracle_prior(model, count, seed, start):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 20), min_size=1, max_size=5).filter(any),
-       st.integers(0, 2**70), st.integers(0, 2**40))
-def test_prior_draws_what_numpys_generator_draws(counts, seed, start) -> None:
+       st.integers(0, 2**70))
+def test_prior_draws_what_numpys_generator_draws(counts, seed) -> None:
     labels = tuple([EMPTY] + [f"f{i}" for i in range(1, len(counts))])
     model = PriorModel(labels, np.array(counts) / sum(counts))
     ws = [_w("x")] * 40
-    assert predict_prior_sequence(model, ws, seed, start) == _oracle_prior(model, 40, seed, start)
+    assert predict_prior_sequence(model, ws, seed) == _oracle_prior(model, 40, seed)
 
 
 def test_prior_degenerate_always_empty() -> None:
@@ -157,6 +155,17 @@ def _token_vocab():
     return train_bpe([w.text for w in TOKEN_TRAIN], vocab_size=300, min_frequency=4)
 
 
+def _with_unseen(model: TokenStatsModel, unseen) -> TokenStatsModel:
+    """`model` plus labels of no training window: zero counts, so -inf priors."""
+    labels = classify._label_order([*model.labels, *unseen])
+    window_counts = np.zeros(len(labels), dtype=np.int64)
+    token_counts = np.zeros((len(labels), model.vocab.size), dtype=np.int64)
+    for i, label in enumerate(model.labels):
+        window_counts[labels.index(label)] = model.window_counts[i]
+        token_counts[labels.index(label)] = model.token_counts[i]
+    return TokenStatsModel(labels, model.alpha, model.vocab, window_counts, token_counts)
+
+
 def test_token_stats_planted_pattern_wins() -> None:
     vocab = _token_vocab()
     model = fit_token_stats(TOKEN_TRAIN, vocab, alpha=1.0)
@@ -198,7 +207,7 @@ def test_token_stats_deterministic() -> None:
 def test_token_stats_unseen_label_never_changes_argmax() -> None:
     vocab = _token_vocab()
     base = fit_token_stats(TOKEN_TRAIN, vocab)
-    extended = fit_token_stats(TOKEN_TRAIN, vocab, extra_labels=("neverseen",))
+    extended = _with_unseen(base, ("neverseen",))
     probes = [_w("MEMSETPAT(p, 0, 1);"), _w("STRCPYPAT(d, s);"), _w("iVar1 = iVar1 + 1;")]
     for probe in probes:
         assert predict_token_stats(base, probe) == predict_token_stats(extended, probe)
@@ -271,8 +280,8 @@ def _batch_cases(draw):
         windows.insert(rng.randint(0, len(windows)), other)
     train = [_w(w.text, rng.choice([EMPTY, "memset", "strcpy"])) for w in windows]
     unseen = draw(st.lists(st.sampled_from(["zeta", "omega"]), max_size=2))
-    model = fit_token_stats(train, vocab, alpha=draw(st.sampled_from([0.5, 1.0, 1.7])),
-                            extra_labels=unseen)
+    alpha = draw(st.sampled_from([0.5, 1.0, 1.7]))
+    model = _with_unseen(fit_token_stats(train, vocab, alpha), unseen)
     kind = draw(st.sampled_from(["fitted", "ties", "swapped"]))
     counts, window_counts = model.token_counts.copy(), model.window_counts.copy()
     if kind == "ties" and len(model.labels) > 1:
@@ -433,7 +442,7 @@ def _server(tmp_path, code: str) -> list[str]:
 def test_token_stats_model_file_is_json_dumps_indent_1(tmp_path, kind) -> None:
     # the token_counts triples are spliced in as text; the file must stay
     # what json.dumps(indent=1, sort_keys=True) writes for the whole object
-    model = fit_token_stats(TOKEN_TRAIN, _token_vocab(), extra_labels=('say "hi"\n',))
+    model = _with_unseen(fit_token_stats(TOKEN_TRAIN, _token_vocab()), ('say "hi"\n',))
     if kind == "no-counts":
         model = TokenStatsModel(model.labels, model.alpha, model.vocab, model.window_counts,
                                 np.zeros_like(model.token_counts))

@@ -210,6 +210,23 @@ def test_fit_token_stats_requires_vocab(tmp_path) -> None:
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_fit_alpha_must_be_positive_and_finite(tmp_path, capsys, value) -> None:
+    win_path = tmp_path / "w.jsonl"
+    windows.write_windows(
+        win_path, windows.scan_windows(make_body("f", 5), windows.WindowSpec())
+    )
+    vocab_path = tmp_path / "vocab.txt"
+    bpe.save_vocab(vocab_path, bpe.train_bpe([w.text for w in windows.read_windows(win_path)],
+                                             vocab_size=260, min_frequency=2))
+    out = tmp_path / "m.json"
+    assert cli.run(["fit", "--kind", "token-stats", "--windows", str(win_path),
+                    "--vocab", str(vocab_path), "--out", str(out), "--alpha", value]) == 2
+    assert capsys.readouterr().err == (
+        f"uninline fit: error: --alpha must be a positive finite number, not {value}\n")
+    assert not out.exists()
+
+
 C_SOURCE = """\
 #include <string.h>
 #include <stdio.h>
@@ -734,6 +751,19 @@ def test_target_frequency_of_2_53_is_taken_exactly(tmp_path, capsys) -> None:
                     "--report", str(report)]) == 0
     assert json.loads(report.read_text())["r_f1"] == pytest.approx(1.0)
     assert corpus.load_targets(targets).frequencies == {"strcpy": 10, "memset": 2**53}
+
+
+def test_correlate_counts_a_target_name_padded_with_spaces(tmp_path, caplog) -> None:
+    targets = tmp_path / "targets.tsv"
+    targets.write_text("memset \t50\nstrcpy\t10\n")
+    path = tmp_path / "per_name.jsonl"
+    path.write_text(json.dumps(PER_NAME) + "\n"
+                    + json.dumps({**PER_NAME, "name": "strcpy", "f1": 0.5}) + "\n")
+    report = tmp_path / "corr.json"
+    assert cli.run(["correlate", "--per-name", str(path), "--targets", str(targets),
+                    "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["points"] == 2
+    assert "no frequency" not in caplog.text
 
 
 def _prior_stage_argvs(tmp_path, seed: str) -> list[list[str]]:

@@ -46,8 +46,7 @@ def test_split_lines_lossless_on_arbitrary_bytes() -> None:
 def test_targets_normalize_and_lookup() -> None:
     targets = TargetFunctionSet.from_names(["MemSet", "strcpy", "memset"])
     assert targets.names == ("memset", "strcpy")
-    assert "MEMSET" in targets
-    assert "free" not in targets
+    assert targets.name_set == frozenset({"memset", "strcpy"})
 
 
 def test_targets_reject_unnormalized() -> None:
@@ -67,6 +66,26 @@ def test_load_targets_with_frequencies(tmp_path) -> None:
     targets = load_targets(path)
     assert targets.names == ("sprintf", "memset", "wifexited")
     assert targets.frequencies == {"sprintf": 120, "memset": 80}
+
+
+def test_load_targets_strips_both_fields(tmp_path) -> None:
+    path = tmp_path / "targets.txt"
+    path.write_text("memset \t5\nStrCpy\t 7\nfree \n")
+    targets = load_targets(path)
+    assert targets.names == ("memset", "strcpy", "free")
+    assert targets.frequencies == {"memset": 5, "strcpy": 7}
+
+
+@pytest.mark.parametrize("line, error", [
+    ("memset\t5\t9", "expected name or name<TAB>frequency, not 3 tab-separated fields"),
+    (" \t7", "empty name before the frequency"),
+], ids=["third-field", "empty-name"])
+def test_load_targets_refuses_a_malformed_line(tmp_path, line, error) -> None:
+    path = tmp_path / "targets.txt"
+    path.write_text(f"strcpy\t10\n{line}\n")
+    with pytest.raises(ValueError) as exc:
+        load_targets(path)
+    assert str(exc.value) == f"{path}:2: {error}"
 
 
 def test_function_record_roundtrip(tmp_path) -> None:

@@ -194,7 +194,7 @@ def test_code_views_carry_state_like_character_loop(lines) -> None:
     assert code_views(lines) == expected
 
 
-def oracle_find_call_sites(lines, names, min_depth: int = 1) -> list[CallSite]:
+def oracle_find_call_sites(lines, names) -> list[CallSite]:
     """The loop that matched every identifier of every line, kept as the
     reference for `find_call_sites`, which skips lines that hold no name."""
     sites = []
@@ -210,7 +210,7 @@ def oracle_find_call_sites(lines, names, min_depth: int = 1) -> list[CallSite]:
             if before.endswith(".") or before.endswith("->"):
                 continue
             here = depth + view[: match.start()].count("{") - view[: match.start()].count("}")
-            if here >= min_depth:
+            if here >= 1:
                 sites.append(CallSite(lineno, match.start(), match.group(0).lower()))
         depth += view.count("{") - view.count("}")
     return sites
@@ -228,11 +228,11 @@ CALL_LINES = st.lists(st.sampled_from(CALL_PIECES), max_size=14).map("".join)
 
 @settings(max_examples=500, deadline=None)
 @given(lines=st.lists(CALL_LINES, max_size=8),
-       names=st.sets(st.sampled_from(NAMES), max_size=4), min_depth=st.integers(0, 2))
+       names=st.sets(st.sampled_from(NAMES), max_size=4))
 @example(lines=["{", 'memset("memset(") /* memset( */ x.memset(); MEMSET (', "}"],
-         names={"memset", "set"}, min_depth=1)
-@example(lines=["{ İmemset(", "K(", "k("], names={"memset", "k"}, min_depth=1)
-@example(lines=["{", "free(", "Free("], names={"Free"}, min_depth=0)
-def test_find_call_sites_matches_every_line_loop(lines, names, min_depth) -> None:
-    assert (find_call_sites(lines, frozenset(names), min_depth)
-            == oracle_find_call_sites(lines, frozenset(names), min_depth))
+         names={"memset", "set"})
+@example(lines=["{ İmemset(", "K(", "k("], names={"memset", "k"})
+@example(lines=["{", "free(", "Free("], names={"Free"})
+def test_find_call_sites_matches_every_line_loop(lines, names) -> None:
+    names = frozenset(names)
+    assert find_call_sites(lines, names) == oracle_find_call_sites(lines, names)

@@ -1,4 +1,4 @@
-"""Multiset scoring rules, aggregation, and correlation."""
+"""Multiset scoring rules, reports, and correlation."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from uninline.corpus import FunctionId
 from uninline.evaluate import (
     EvalCounts,
     EvalReport,
-    aggregate,
     frequency_correlation,
     pearson,
     score_by_name,
@@ -151,45 +150,57 @@ def test_tn_never_enters_ratios() -> None:
     assert with_tn.f1 == without.f1
 
 
-def test_aggregate_is_shard_invariant(rng: np.random.Generator) -> None:
-    parts = [
-        EvalCounts(*(int(x) for x in rng.integers(0, 9, size=4)))
-        for _ in range(40)
+FID = [FunctionId("a.c", f"fn{i}", i) for i in range(4)]
+
+
+def _random_recoveries(rng: np.random.Generator, count: int) -> list[FunctionRecovery]:
+    return [
+        FunctionRecovery(FunctionId("r.c", f"fn{i}", i),
+                         RecoveryMultiset(dict(zip("abc", map(int, rng.integers(0, 3, 3))))))
+        for i in range(count)
     ]
-    whole = aggregate(parts).overall
-    split = aggregate(parts[:13]).overall + aggregate(parts[13:]).overall
-    assert whole == split
-    assert whole.tp == sum(c.tp for c in parts)
 
 
-def test_aggregate_optlevel_buckets() -> None:
-    parts = [EvalCounts(tp=1), EvalCounts(fp=1), EvalCounts(fn=1)]
-    report = aggregate(parts, optlevels=["O2", None, "O2"])
+def test_score_recoveries_is_shard_invariant(rng: np.random.Generator) -> None:
+    pred, truth = _random_recoveries(rng, 40), _random_recoveries(rng, 40)
+    whole = score_recoveries(pred, truth)
+    head, tail = score_recoveries(pred[:13], truth[:13]), score_recoveries(pred[13:], truth[13:])
+    zero = EvalCounts()
+    assert whole.overall == head.overall + tail.overall == sum(
+        (score_function(p.counts, g.counts) for p, g in zip(pred, truth)), zero)
+    assert whole.by_name == {n: head.by_name.get(n, zero) + tail.by_name.get(n, zero)
+                             for n in head.by_name.keys() | tail.by_name.keys()}
+
+
+def test_score_recoveries_optlevel_buckets() -> None:
+    pred = [
+        FunctionRecovery(FID[0], RecoveryMultiset({"f": 1}), optlevel="O2"),
+        FunctionRecovery(FID[1], RecoveryMultiset({"f": 1})),
+        FunctionRecovery(FID[2], RecoveryMultiset(), optlevel="O2"),
+    ]
+    truth = [
+        FunctionRecovery(FID[0], RecoveryMultiset({"f": 1})),
+        FunctionRecovery(FID[2], RecoveryMultiset({"f": 1})),
+    ]
+    report = score_recoveries(pred, truth)
     assert report.by_optimization == {
         "O2": EvalCounts(tp=1, fn=1),
         "untagged": EvalCounts(fp=1),
     }
-    with pytest.raises(ValueError):
-        aggregate(parts, optlevels=["O2"])
 
 
 def test_unique_functions_recovered() -> None:
-    report = aggregate(
-        [EvalCounts(tp=3, fp=1)],
-        by_name=[
-            {
-                "f": EvalCounts(tp=2),
-                "g": EvalCounts(tp=1, fp=1),
-                "h": EvalCounts(fp=2),
-                "i": EvalCounts(fn=4),
-            }
-        ],
+    report = EvalReport(
+        EvalCounts(tp=3, fp=1),
+        by_name={
+            "f": EvalCounts(tp=2),
+            "g": EvalCounts(tp=1, fp=1),
+            "h": EvalCounts(fp=2),
+            "i": EvalCounts(fn=4),
+        },
     )
     # names recovered at least once: f and g
     assert report.unique_functions_recovered == 2
-
-
-FID = [FunctionId("a.c", f"fn{i}", i) for i in range(4)]
 
 
 def test_score_recoveries_union_of_ids() -> None:
@@ -220,10 +231,10 @@ def test_score_recoveries_rejects_duplicates() -> None:
 
 
 def test_report_json_shape() -> None:
-    report = aggregate(
-        [EvalCounts(tp=2, fp=1)],
-        optlevels=["O2"],
-        by_name=[{"f": EvalCounts(tp=2, fp=1)}],
+    report = EvalReport(
+        EvalCounts(tp=2, fp=1),
+        by_optimization={"O2": EvalCounts(tp=2, fp=1)},
+        by_name={"f": EvalCounts(tp=2, fp=1)},
     )
     obj = report.as_json()
     assert obj["overall"]["tp"] == 2
@@ -233,9 +244,9 @@ def test_report_json_shape() -> None:
 
 
 def test_render_layout() -> None:
-    report = aggregate(
-        [EvalCounts(tp=2, fp=1), EvalCounts(tp=1, fn=1, tn=0)],
-        optlevels=["O2", "O3"],
+    report = EvalReport(
+        EvalCounts(tp=3, fp=1, fn=1),
+        by_optimization={"O2": EvalCounts(tp=2, fp=1), "O3": EvalCounts(tp=1, fn=1)},
     )
     text = report.render()
     lines = text.splitlines()
@@ -308,7 +319,7 @@ def test_frequency_correlation() -> None:
 
 
 def test_write_report(tmp_path) -> None:
-    report = aggregate([EvalCounts(tp=1, fp=1)])
+    report = EvalReport(EvalCounts(tp=1, fp=1))
     path = tmp_path / "report.json"
     write_report(path, report)
     obj = json.loads(path.read_text())
