@@ -29,15 +29,16 @@ as the oracle.
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
 each segment is encoded alone, once per vocabulary object (a memo).
-A text encoded alone is not cut byte by byte: `_joins` marks its
-joinable pairs at once, through `bytes.translate` and integer
-operations, and a regular expression finds their runs. Only a run is a
-segment of several bytes; every other byte is its own id. Consecutive
-texts share their cuts: each is laid on one byte stream at
-the first line start where the two agree byte for byte as far as they
-overlap, and only the bytes it adds are cut. Windows slid down a body
-one line at a time thus cut each line once. A cut depends only on the
-two bytes beside it, so the stream's cuts inside a text are the text's
+Bytes are never cut one pair at a time: `_joins` marks the joinable
+pairs of a byte string at once, through `bytes.translate` and integer
+operations. In a text encoded alone, a regular expression finds their
+runs; only a run is a segment of several bytes, and every other byte
+is its own id. Consecutive texts share their cuts: each is laid on one
+byte stream at the first line start where the two agree byte for byte
+as far as they overlap, and only the bytes it adds are cut, by `_joins`
+of those bytes and the one before them. Windows slid down a body one
+line at a time thus cut each line once. A cut depends only on the two
+bytes beside it, so the stream's cuts inside a text are the text's
 own, and its ids equal those of the rank-by-rank rescan of the text
 alone, whatever was encoded before; `tests/test_bpe.py` keeps the
 rescan as the oracle. A text that agrees nowhere starts a new stream.
@@ -118,10 +119,12 @@ class BpeVocab:
 
     def __post_init__(self):
         if BASE_TOKENS + len(self.merges) > self.vocab_size_limit:
-            raise ValueError("more merges than the vocabulary limit allows")
+            raise ValueError(f"more merges than vocab_size_limit {self.vocab_size_limit} allows")
         rank = _first_undefined(self.merges)
         if rank is not None:
             raise ValueError(_undefined(self.merges, rank))
+        if self.min_frequency < 1:
+            raise ValueError(f"min_frequency must be at least 1, not {self.min_frequency}")
 
     @property
     def size(self) -> int:
@@ -143,26 +146,22 @@ class BpeVocab:
         return {pair: rank for rank, pair in enumerate(self.merges)}
 
     @cached_property
-    def _joinable(self) -> frozenset[tuple[int, int]]:
-        """The byte pairs (x, y) that sit side by side in some token.
+    def _join_lanes(self) -> tuple[tuple[bytes, bytes], ...]:
+        """The joinable byte pairs as `bytes.translate` tables, eight left bytes a lane.
 
-        A merge's token adds one adjacency to those inside its two parts:
-        the last byte of the left part against the first of the right.
+        A pair (x, y) is joinable when x and y sit side by side in some
+        token. A merge's token adds one adjacency to those inside its
+        two parts: the last byte of the left part against the first of
+        the right. Each byte that begins a joinable pair has one bit in
+        one lane. The lane's left table maps it to that bit, and its
+        right table maps every byte that may follow it to a set holding
+        that bit.
         """
         tokens = self._token_bytes
-        return frozenset((tokens[a][-1], tokens[b][0]) for a, b in self.merges)
-
-    @cached_property
-    def _join_lanes(self) -> tuple[tuple[bytes, bytes], ...]:
-        """`_joinable` as pairs of `bytes.translate` tables, eight left bytes a lane.
-
-        Each byte that begins a joinable pair has one bit in one lane.
-        The lane's left table maps it to that bit, and its right table
-        maps every byte that may follow it to a set holding that bit.
-        """
-        bit = {x: divmod(k, 8) for k, x in enumerate(sorted({x for x, _ in self._joinable}))}
+        joinable = {(tokens[a][-1], tokens[b][0]) for a, b in self.merges}
+        bit = {x: divmod(k, 8) for k, x in enumerate(sorted({x for x, _ in joinable}))}
         lanes = [(bytearray(256), bytearray(256)) for _ in range((len(bit) + 7) // 8)]
-        for x, y in self._joinable:
+        for x, y in joinable:
             lane, k = bit[x]
             left, right = lanes[lane]
             left[x] = 1 << k
@@ -170,9 +169,9 @@ class BpeVocab:
         return tuple((bytes(left), bytes(right)) for left, right in lanes)
 
     @cached_property
-    def _memo(self) -> dict[bytes, tuple[int, ...]]:
+    def _memo(self) -> "_Memo":
         """Ids of every segment encoded so far with this vocabulary."""
-        return {}
+        return _Memo(self)
 
     @cached_property
     def _chain(self) -> "_Chain":
@@ -474,14 +473,13 @@ def encode_span(vocab: BpeVocab, text: str | bytes):
         if a < 0:
             return laid.restart(vocab, raw), None, 0, 0, ()
         laid.extend(vocab, raw, a)
-        cuts, toks = laid.cuts, laid.toks
+        cuts, toks, memo = laid.cuts, laid.toks, vocab._memo
         k1 = bisect_left(cuts, a)
         k2 = bisect_right(cuts, a + len(raw)) - 1
         if k1 > k2:
-            return _segment_ids(vocab, raw), toks, 0, 0, ()
+            return memo[raw], toks, 0, 0, ()
         lo, hi = laid.tok_at[k1], laid.tok_at[k2]
-        return (_segment_ids(vocab, raw[:cuts[k1] - a]), toks, lo, hi,
-                _segment_ids(vocab, raw[cuts[k2] - a:]))
+        return memo[raw[:cuts[k1] - a]], toks, lo, hi, memo[raw[cuts[k2] - a:]]
 
 
 class _Chain:
@@ -493,7 +491,9 @@ class _Chain:
     toks[tok_at[k]:tok_at[k + 1]]; the last segment is still open and
     has no ids yet. An indexed stream may grow long, so its `cuts` and
     `tok_at` are int arrays, 4 bytes an entry. `start` is where the
-    last text laid began.
+    last text laid began. `_index` closes segments: over the whole
+    stream when it is indexed, and over the open segment and the bytes
+    a text appends when it grows.
 
     A text is laid at the first line start of the stream, from `start`
     on, where the two agree byte for byte as far as they overlap, and
@@ -553,11 +553,7 @@ class _Chain:
             start = run.start()
             out += raw[end:start]
             end = run.end()
-            segment = raw[start:end]  # `_segment_ids`, inlined
-            ids = memo.get(segment)
-            if ids is None:
-                ids = memo[segment] = _merge_segment(vocab, segment)
-            out += ids
+            out += memo[raw[start:end]]
         out += raw[end:]
         self.stream = bytearray(raw)
         self.joins = joins
@@ -568,37 +564,33 @@ class _Chain:
     def extend(self, vocab: BpeVocab, raw: bytes, a: int) -> None:
         """Note that `raw` lies at `a`; append and cut what it has past the stream's end."""
         if self.toks is None:  # index the segments `restart` closed
-            stream, memo = bytes(self.stream), vocab._memo
-            # a segment starts at 0 and at each byte not joined to the one before it
-            self.cuts = array("i", [0])
-            self.cuts.extend(compress(range(1, len(stream)), self.joins.translate(_APART)))
-            self.toks, self.tok_at = [], array("i", [0])
-            for start, end in zip(self.cuts, self.cuts[1:]):
-                segment = stream[start:end]
-                self.toks += memo[segment] if end - start > 1 else segment
-                self.tok_at.append(len(self.toks))
+            self.cuts, self.tok_at, self.toks = array("i", [0]), array("i", [0]), []
+            self._index(vocab, bytes(self.stream), 0, self.joins)
             self.joins = None
         self.start = a
         stream = self.stream
         n = len(stream)
         if len(raw) <= n - a:
             return
-        opened = self.cuts[-1]
-        first = n - opened  # in `piece`, the first byte whose left pair is new
         stream += raw[n - a:]
-        piece = bytes(stream[opened:])
-        joinable = vocab._joinable
-        ends = [i for i, pair in enumerate(zip(piece[first - 1:], piece[first:]), first)
-                if pair not in joinable]
-        memo, toks, tok_at = vocab._memo, self.toks, self.tok_at
-        for start, end in zip([0, *ends], ends):  # `_segment_ids`, inlined
-            segment = piece[start:end]
-            ids = memo.get(segment)
-            if ids is None:
-                ids = memo[segment] = _merge_segment(vocab, segment)
-            toks += ids
+        # the open segment holds no cut: only the pairs from its last byte on are new
+        opened = self.cuts[-1]
+        self._index(vocab, bytes(stream[opened:]), opened, _joins(vocab, stream[max(n - 1, 0):]))
+
+    def _index(self, vocab: BpeVocab, piece: bytes, at: int, joins: bytes) -> None:
+        """Append the closed segments of `piece`, which starts at the cut `at`.
+
+        `joins` is `_joins` of the end of `piece` that holds every pair
+        not known to be joined. A segment ends before each byte not
+        joined to the one before it; the last segment stays open.
+        """
+        first = len(piece) - len(joins) + 1  # the first byte whose left pair `joins` holds
+        ends = list(compress(range(first, len(piece)), joins.translate(_APART)))
+        toks, tok_at, memo = self.toks, self.tok_at, vocab._memo
+        for start, end in zip([0, *ends], ends):
+            toks += memo[piece[start:end]]
             tok_at.append(len(toks))
-        self.cuts.fromlist([opened + end for end in ends])
+        self.cuts.fromlist([at + end for end in ends])
 
 
 # A run of joinable byte pairs in `_joins`: the bytes that join the next
@@ -622,52 +614,54 @@ def _joins(vocab: BpeVocab, raw: bytes) -> bytes:
     return joins.to_bytes(len(raw), "little")
 
 
-def _segment_ids(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:
-    memo = vocab._memo
-    ids = memo.get(segment)
-    if ids is None:
-        ids = memo[segment] = _merge_segment(vocab, segment)
-    return ids
+class _Memo(dict):
+    """The ids of every segment encoded so far with one vocabulary.
 
-
-def _merge_segment(vocab: BpeVocab, segment: bytes) -> tuple[int, ...]:
-    """Apply the merges to one segment, popping pair sites by (rank, position).
-
-    Tokens form a linked list over byte positions; a heap holds
-    rank * n + position for every adjacent pair that has a rank, and
-    sites a merge has changed are skipped when popped. A merge of rank r
-    only creates pairs that contain its new id, whose ranks exceed r, so
-    all sites of rank r are present when the first is popped and are
-    merged left to right, as the rank-by-rank rescan would.
+    A segment missing from it is merged and kept by `__missing__`, so a
+    lookup is one subscript, with no Python call once the segment is in.
     """
-    n = len(segment)
-    if n < 2:
-        return tuple(segment)
-    ranks = vocab._ranks
-    merges = vocab.merges
-    tokens = list(segment)  # -1 marks a position merged into its left neighbour
-    nxt = list(range(1, n + 1))
-    prv = list(range(-1, n - 1))
-    heap = [r * n + i for i, pair in enumerate(zip(segment, segment[1:]))
-            if (r := ranks.get(pair)) is not None]
-    heapify(heap)
-    while heap:
-        rank, i = divmod(heappop(heap), n)
-        j = nxt[i]
-        if j == n or (tokens[i], tokens[j]) != merges[rank]:
-            continue
-        new = BASE_TOKENS + rank
-        tokens[i] = new
-        tokens[j] = -1
-        k = nxt[i] = nxt[j]
-        p = prv[i]
-        if p >= 0 and (r := ranks.get((tokens[p], new))) is not None:
-            heappush(heap, r * n + p)
-        if k < n:
-            prv[k] = i
-            if (r := ranks.get((new, tokens[k]))) is not None:
-                heappush(heap, r * n + i)
-    return tuple(t for t in tokens if t >= 0)
+
+    def __init__(self, vocab: BpeVocab):
+        super().__init__()
+        self.ranks, self.merges = vocab._ranks, vocab.merges
+
+    def __missing__(self, segment: bytes) -> tuple[int, ...]:
+        """Apply the merges to `segment`, popping pair sites by (rank, position).
+
+        Tokens form a linked list over byte positions; a heap holds
+        rank * n + position for every adjacent pair that has a rank, and
+        sites a merge has changed are skipped when popped. A merge of
+        rank r only creates pairs that contain its new id, whose ranks
+        exceed r, so all sites of rank r are present when the first is
+        popped and are merged left to right, as the rank-by-rank rescan
+        would.
+        """
+        ranks, merges = self.ranks, self.merges
+        n = len(segment)
+        tokens = list(segment)  # -1 marks a position merged into its left neighbour
+        nxt = list(range(1, n + 1))
+        prv = list(range(-1, n - 1))
+        heap = [r * n + i for i, pair in enumerate(zip(segment, segment[1:]))
+                if (r := ranks.get(pair)) is not None]
+        heapify(heap)
+        while heap:
+            rank, i = divmod(heappop(heap), n)
+            j = nxt[i]
+            if j == n or (tokens[i], tokens[j]) != merges[rank]:
+                continue
+            new = BASE_TOKENS + rank
+            tokens[i] = new
+            tokens[j] = -1
+            k = nxt[i] = nxt[j]
+            p = prv[i]
+            if p >= 0 and (r := ranks.get((tokens[p], new))) is not None:
+                heappush(heap, r * n + p)
+            if k < n:
+                prv[k] = i
+                if (r := ranks.get((new, tokens[k]))) is not None:
+                    heappush(heap, r * n + i)
+        ids = self[segment] = tuple(t for t in tokens if t >= 0)
+        return ids
 
 
 def decode(vocab: BpeVocab, ids: Sequence[int]) -> str:
@@ -719,10 +713,12 @@ def load_vocab(path: str | Path) -> BpeVocab:
 
     A merge's ids are checked once, when the vocabulary is built, so a
     merge that references an undefined id is reported wherever another
-    error would be raised first, as the first error in file order.
+    error would be raised first, as the first error in file order. The
+    header values are checked then too: a size limit the merges exceed,
+    or a frequency floor below 1, is reported at its header line.
     """
-    limit = DEFAULT_VOCAB_SIZE
-    min_freq = DEFAULT_MIN_FREQUENCY
+    limit, limit_at = DEFAULT_VOCAB_SIZE, str(path)
+    min_freq, min_freq_at = DEFAULT_MIN_FREQUENCY, str(path)
     merges: list[tuple[int, int]] = []
     merge_lines: list[int] = []
     id_table: dict[int, str] = {}
@@ -740,9 +736,9 @@ def load_vocab(path: str | Path) -> BpeVocab:
             if line.startswith("#"):
                 parts = line[1:].split("\t")
                 if len(parts) == 2 and parts[0].strip() == "vocab_size_limit":
-                    limit = _parse_int(parts[1])
+                    limit, limit_at = _parse_int(parts[1]), f"{path}:{lineno}"
                 elif len(parts) == 2 and parts[0].strip() == "min_frequency":
-                    min_freq = _parse_int(parts[1])
+                    min_freq, min_freq_at = _parse_int(parts[1]), f"{path}:{lineno}"
                 continue
             fields = line.split("\t")
             if len(fields) == 3:
@@ -759,8 +755,8 @@ def load_vocab(path: str | Path) -> BpeVocab:
             fail(f"{path}:{lineno}", exc)
     try:
         vocab = BpeVocab(tuple(merges), vocab_size_limit=limit, min_frequency=min_freq)
-    except ValueError as exc:
-        fail(str(path), exc)
+    except ValueError as exc:  # `fail` names a merge's undefined id; else a header is bad
+        fail(limit_at if BASE_TOKENS + len(merges) > limit else min_freq_at, exc)
     if id_table:
         expected = {i: _escape(tok) for i, tok in enumerate(vocab.token_bytes())}
         if id_table != expected:

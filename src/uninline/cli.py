@@ -442,10 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coalesce", help="collapse label sequences into recovery multisets")
     p.add_argument("--labels", required=True, help="label sequence records")
     p.add_argument("--out", required=True)
-    p.add_argument("--neighbor-span", type=int, default=5)
-    p.add_argument("--bridge-gap", type=int, default=3)
-    p.add_argument("--retain-threshold", type=int, default=4)
-    p.add_argument("--count-divisor", type=int, default=20)
+    defaults = coalesce.CoalesceParams()
+    p.add_argument("--neighbor-span", type=int, default=defaults.neighbor_span)
+    p.add_argument("--bridge-gap", type=int, default=defaults.bridge_gap)
+    p.add_argument("--retain-threshold", type=int, default=defaults.retain_threshold)
+    p.add_argument("--count-divisor", type=int, default=defaults.count_divisor)
     p.add_argument("--optlevel", help="tag output records with this level")
     p.set_defaults(func=_cmd_coalesce)
 

@@ -209,7 +209,7 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
     """Read a target list: one ``name`` or ``name<TAB>frequency`` per line.
 
     Both fields are stripped of surrounding whitespace; a line with an
-    empty name or more than two tab-separated fields is refused.
+    empty field or more than two tab-separated fields is refused.
     """
     names = []
     freqs = {}
@@ -217,7 +217,7 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [part.strip() for part in raw.rstrip().split("\t")]
+        parts = [part.strip() for part in raw.split("\t")]
         if len(parts) > 2:
             raise ValueError(f"{path}:{lineno}: expected name or name<TAB>frequency, "
                              f"not {len(parts)} tab-separated fields")

@@ -487,6 +487,26 @@ def test_restart_by_runs_matches_rescan_oracle(vocab, raw) -> None:
         == [_oracle_encode(vocab, raw[i:j]) for i, j in zip(starts, starts[1:])]
 
 
+@settings(max_examples=300, deadline=None)
+@given(vocab=_vocabs(), raw=_ALPHABET_TEXT)
+@example(vocab=_AB, raw=b"ab\nab\nba")
+@example(vocab=BpeVocab(((97, 10), (10, 97)), vocab_size_limit=300), raw=b"a\na\na\nab")
+@example(vocab=_TWO_LANES, raw=b"{a}a\n\xffa\x00a\n\na\x01ab")
+def test_a_stream_grown_by_extend_matches_the_whole_text(vocab, raw) -> None:
+    """A stream grown by laying successive line prefixes of one text holds the
+    cuts of the whole text by definition, and its closed segments the rescan's ids."""
+    ends = [i for i, byte in enumerate(raw) if byte == ord("\n")] + [len(raw)]
+    chain = bpe._Chain()
+    chain.restart(vocab, raw[:ends[0]])
+    for end in ends:
+        chain.extend(vocab, raw[:end], 0)
+    adjacent = _adjacent(vocab)
+    starts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
+    assert list(chain.cuts) == starts
+    assert list(chain.tok_at) == [len(_oracle_encode(vocab, raw[:i])) for i in starts]
+    assert chain.toks == _oracle_encode(vocab, raw[:starts[-1]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(ids=st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=2, max_size=60),
        pair=st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -592,6 +612,8 @@ def test_invalid_parameters_refused() -> None:
     with pytest.raises(ValueError):
         BpeVocab(((990, 0),), vocab_size_limit=300)
     with pytest.raises(ValueError):
+        BpeVocab((), min_frequency=0)
+    with pytest.raises(ValueError):
         decode(BpeVocab(()), [4000])
     with pytest.raises(ValueError):
         decode(BpeVocab(()), [-1])
@@ -604,7 +626,10 @@ def test_invalid_parameters_refused() -> None:
     "0\t97\tb",
     "z\ta",
     "0\t97\t256",
-], ids=["header-limit", "header-frequency", "rank", "merge-id", "table-id", "undefined-id"])
+    "# min_frequency\t-5",
+    "# vocab_size_limit\t10",
+], ids=["header-limit", "header-frequency", "rank", "merge-id", "table-id", "undefined-id",
+        "frequency-floor", "limit-below-merges"])
 def test_vocab_file_errors_name_the_line(tmp_path, line) -> None:
     path = tmp_path / "vocab.tsv"
     path.write_text(f"# byte-level bpe vocabulary\n{line}\n")

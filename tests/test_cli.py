@@ -68,6 +68,19 @@ def test_coalesce_command_worked_example(tmp_path) -> None:
     assert rec.counts.as_dict() == {"a": 1, "b": 1}
 
 
+def test_coalesce_command_defaults_are_the_library_defaults(tmp_path, monkeypatch) -> None:
+    labels_path = tmp_path / "labels.jsonl"
+    coalesce.write_label_sequences(
+        labels_path, [coalesce.LabelSequence(FunctionId("a.c", "f", 0), ("a",) * 4)])
+    used = []
+    real = coalesce.coalesce
+    monkeypatch.setattr(coalesce, "coalesce",
+                        lambda seq, params: used.append(params) or real(seq, params))
+    rc = cli.run(["coalesce", "--labels", str(labels_path), "--out", str(tmp_path / "rec.jsonl")])
+    assert rc == 0
+    assert used == [coalesce.CoalesceParams()]
+
+
 def _mk_record(fn_name: str, ordinal: int, labeled: bool) -> DecompiledFunction:
     lines = [f"  iVar{i % 7} = iVar{(i + 1) % 7} + {i};" for i in range(30)]
     labels: tuple = ()

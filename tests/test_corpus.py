@@ -79,7 +79,9 @@ def test_load_targets_strips_both_fields(tmp_path) -> None:
 @pytest.mark.parametrize("line, error", [
     ("memset\t5\t9", "expected name or name<TAB>frequency, not 3 tab-separated fields"),
     (" \t7", "empty name before the frequency"),
-], ids=["third-field", "empty-name"])
+    ("memset\t", "frequency must be a non-negative integer, not ''"),
+    ("memset\t ", "frequency must be a non-negative integer, not ''"),
+], ids=["third-field", "empty-name", "empty-frequency", "blank-frequency"])
 def test_load_targets_refuses_a_malformed_line(tmp_path, line, error) -> None:
     path = tmp_path / "targets.txt"
     path.write_text(f"strcpy\t10\n{line}\n")
