@@ -16,7 +16,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bpe import BpeVocab, decode, encode, encode_span, load_vocab, save_vocab, train_bpe
+from .bpe import BpeVocab, decode, encode, load_vocab, save_vocab, train_bpe
 from .classify import (
     ExternalModelClient,
     ExternalProtocolError,

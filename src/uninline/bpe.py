@@ -31,21 +31,19 @@ by side in no token, so the text is cut between every such pair and
 each segment is encoded alone, once per vocabulary object (a memo).
 Bytes are never cut one pair at a time: `_joins` marks the joinable
 pairs of a byte string at once, through `bytes.translate` and integer
-operations. In a text encoded alone, a regular expression finds their
-runs; only a run is a segment of several bytes, and every other byte
-is its own id. Consecutive texts share their cuts: each is laid on one
-byte stream at the first line start where the two agree byte for byte
-as far as they overlap, and only the bytes it adds are cut, by `_joins`
-of those bytes and the one before them. Windows slid down a body one
-line at a time thus cut each line once. A cut depends only on the two
-bytes beside it, so the stream's cuts inside a text are the text's
-own, and its ids equal those of the rank-by-rank rescan of the text
-alone, whatever was encoded before; `tests/test_bpe.py` keeps the
-rescan as the oracle. A text that agrees nowhere starts a new stream.
-`encode_span` gives a text's place on the stream instead of its ids:
-the partial segments at its two ends, and the range of the stream's
-token list between them, which a caller can sum over without copying.
-`encode` joins the three.
+operations. `encode` encodes one text alone: a regular expression
+finds the runs of joinable pairs; only a run is a segment of several
+bytes, and every other byte is its own id.
+
+A pass over consecutive texts (`encode_spans`, `encode_each`) shares
+their cuts on a byte stream of its own (`_Chain`): each text is laid on
+it at the first line start where the two agree byte for byte as far as
+they overlap, and only the bytes it adds are cut, so windows slid down
+a body one line at a time cut each line once. A cut depends only on the
+two bytes beside it, so a text's ids equal those of the rank-by-rank
+rescan of the text alone, whatever the pass laid before;
+`tests/test_bpe.py` keeps the rescan as the oracle. The vocabulary
+holds no state of a pass: its memo is a pure cache.
 
 Text enters and leaves through utf-8 with surrogateescape, so
 decode(encode(text)) is the identity even for text that round-trips
@@ -70,10 +68,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress
+from itertools import accumulate, compress, tee
 from pathlib import Path
-from threading import Lock
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -110,7 +107,8 @@ class BpeVocab:
 
     The tables derived from the merges, and the encode memo, are built
     on first use and kept on the object. They are not fields, so
-    equality, hashing and repr see only the merges and limits.
+    equality, hashing and repr see only the merges and limits. Nothing
+    of an encoding pass is kept, so passes may share one vocabulary.
     """
 
     merges: tuple[tuple[int, int], ...]
@@ -172,11 +170,6 @@ class BpeVocab:
     def _memo(self) -> "_Memo":
         """Ids of every segment encoded so far with this vocabulary."""
         return _Memo(self)
-
-    @cached_property
-    def _chain(self) -> "_Chain":
-        """The stream the last texts encoded with this vocabulary lie on."""
-        return _Chain()
 
 
 def train_bpe(
@@ -440,54 +433,79 @@ def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
     No token spans two adjacent bytes that sit side by side in no token,
     so the input is cut between every such pair and each segment is
     encoded alone: a merge that is the lowest rank left in the whole
-    text is also the lowest in each segment holding it. Segment ids are
-    memoized on the vocabulary object. The ids are those of the span
-    form, `encode_span`, joined.
-    """
-    head, toks, lo, hi, tail = encode_span(vocab, text)
-    return head if toks is None else [*head, *toks[lo:hi], *tail]
-
-
-def encode_span(vocab: BpeVocab, text: str | bytes):
-    """Where `text` lies on the vocabulary's byte stream: (head, toks, lo, hi, tail).
-
-    The ids of `text` are head + toks[lo:hi] + tail. `toks` is the
-    stream's token list; it only grows while the stream lasts, so the
-    span stays valid, and a new stream brings a new list. `toks` is
-    None when the text lies on no indexed stream; its ids are then all
-    in `head`, a fresh list.
-
-    The text is laid on the stream (see `_Chain`): at the first line
-    start where the two agree byte for byte as far as they overlap, or
-    else on a new stream, and only the bytes it adds are cut. A cut
-    depends only on the two bytes beside it, so the text's own cuts are
-    the stream's cuts strictly inside it, and its ids are the partial
-    segment up to its first cut (head), the stream's ids of the whole
-    segments between, and the partial segment from its last cut (tail).
-    The ids never depend on which texts were encoded before.
+    text is also the lowest in each segment holding it. Only the runs of
+    joinable byte pairs are looked up or merged: each byte between them
+    is a segment of its own, and its id. Segment ids are memoized on the
+    vocabulary object. Each call encodes its text alone; a pass over
+    overlapping windows shares their cuts through `encode_each`.
     """
     raw = _to_bytes(text)
-    laid = vocab._chain
-    with laid.lock:
+    memo = vocab._memo
+    out: list[int] = []
+    end = 0
+    for run in _RUN.finditer(_joins(vocab, raw)):
+        start = run.start()
+        out += raw[end:start]
+        end = run.end()
+        out += memo[raw[start:end]]
+    out += raw[end:]
+    return out
+
+
+def encode_spans(vocab: BpeVocab, texts: Iterable[str | bytes]):
+    """Where each text lies on the byte stream of one pass: None, or (head, toks, lo, hi, tail).
+
+    The pass lays each text on its stream (see `_Chain`): at the first
+    line start where the two agree byte for byte as far as they
+    overlap, and only the bytes it adds are cut. A text that lies
+    nowhere starts a new stream and gives None; its ids are `encode`'s,
+    which are not computed here. Any other text's ids are head +
+    toks[lo:hi] + tail. `toks` is the stream's token list; it only grows
+    while the stream lasts, so a span stays valid, and a new stream
+    brings a new list.
+
+    A cut depends only on the two bytes beside it, so a text's own cuts
+    are the stream's cuts strictly inside it, and its ids are the
+    partial segment up to its first cut (head), the stream's ids of the
+    whole segments between, and the partial segment from its last cut
+    (tail). The ids never depend on which texts the pass laid before.
+    """
+    laid = _Chain()
+    memo = vocab._memo
+    for text in texts:
+        raw = _to_bytes(text)
         a = laid.find(raw)
         if a < 0:
-            return laid.restart(vocab, raw), None, 0, 0, ()
+            laid.restart(raw)
+            yield None
+            continue
         laid.extend(vocab, raw, a)
-        cuts, toks, memo = laid.cuts, laid.toks, vocab._memo
+        cuts, toks = laid.cuts, laid.toks
         k1 = bisect_left(cuts, a)
         k2 = bisect_right(cuts, a + len(raw)) - 1
         if k1 > k2:
-            return memo[raw], toks, 0, 0, ()
-        lo, hi = laid.tok_at[k1], laid.tok_at[k2]
-        return memo[raw[:cuts[k1] - a]], toks, lo, hi, memo[raw[cuts[k2] - a:]]
+            yield memo[raw], toks, 0, 0, ()
+        else:
+            lo, hi = laid.tok_at[k1], laid.tok_at[k2]
+            yield memo[raw[:cuts[k1] - a]], toks, lo, hi, memo[raw[cuts[k2] - a:]]
+
+
+def encode_each(vocab: BpeVocab, texts: Iterable[str | bytes]) -> Iterator[list[int]]:
+    """`encode` of each text, in order, with cuts shared as `encode_spans` shares them."""
+    texts, laid = tee(texts)
+    for text, span in zip(texts, encode_spans(vocab, laid)):
+        if span is None:
+            yield encode(vocab, text)
+        else:
+            head, toks, lo, hi, tail = span
+            yield [*head, *toks[lo:hi], *tail]
 
 
 class _Chain:
-    """Consecutive texts laid on one byte stream, which is cut only once.
+    """Consecutive texts of one pass laid on one byte stream, which is cut only once.
 
-    Until a stream is indexed, `joins` holds `_joins` of it. Once
-    indexed, `cuts` holds the ascending segment starts of `stream`, from
-    0, and the ids of the segment from cuts[k] to cuts[k + 1] are
+    Once indexed, `cuts` holds the ascending segment starts of `stream`,
+    from 0, and the ids of the segment from cuts[k] to cuts[k + 1] are
     toks[tok_at[k]:tok_at[k + 1]]; the last segment is still open and
     has no ids yet. An indexed stream may grow long, so its `cuts` and
     `tok_at` are int arrays, 4 bytes an entry. `start` is where the
@@ -499,24 +517,17 @@ class _Chain:
     on, where the two agree byte for byte as far as they overlap, and
     the part of it past the stream's end is appended. Texts slid down
     a body one line at a time thus share one stream and each adds only
-    its last line. A text that lies nowhere is encoded alone and
-    replaces the stream, so the stream holds at most one run of
-    overlapping texts; it is indexed only when a second text lies on
-    it, so texts that never overlap cost what encoding them alone
-    costs. Correctness rests only on the byte comparison, not on the
-    shape or order of the texts.
+    its last line. A text that lies nowhere replaces the stream, so the
+    stream holds at most one run of overlapping texts; it is indexed
+    only when a second text lies on it, so texts that never overlap
+    cost nothing beyond encoding them alone. Correctness rests only on
+    the byte comparison, not on the shape or order of the texts.
     """
 
-    __slots__ = ("lock", "stream", "joins", "cuts", "tok_at", "toks", "start")
+    __slots__ = ("stream", "cuts", "tok_at", "toks", "start")
 
     def __init__(self):
-        self.lock = Lock()  # laying a text is one compound update of shared state
-        self.stream = bytearray()
-        self.joins = self.cuts = self.tok_at = self.toks = None
-        self.start = 0
-
-    def __reduce__(self):
-        return _Chain, ()  # a copy starts empty: the chain is only a cache
+        self.restart(b"")
 
     def find(self, raw: bytes) -> int:
         """Where `raw` lies on the stream, or -1.
@@ -539,36 +550,20 @@ class _Chain:
         a = stream.rfind(b"\n") + 1
         return a if start <= a < n and raw.startswith(stream[a:]) else -1
 
-    def restart(self, vocab: BpeVocab, raw: bytes) -> list[int]:
-        """Encode `raw` alone and make it the stream, not yet indexed.
-
-        Only the runs of joinable byte pairs are looked up or merged:
-        each byte between them is a segment of its own, and its id.
-        """
-        joins = _joins(vocab, raw)
-        memo = vocab._memo
-        out: list[int] = []
-        end = 0
-        for run in _RUN.finditer(joins):
-            start = run.start()
-            out += raw[end:start]
-            end = run.end()
-            out += memo[raw[start:end]]
-        out += raw[end:]
+    def restart(self, raw: bytes) -> None:
+        """Make `raw` the stream, not yet indexed."""
         self.stream = bytearray(raw)
-        self.joins = joins
         self.cuts = self.tok_at = self.toks = None
         self.start = 0
-        return out
 
     def extend(self, vocab: BpeVocab, raw: bytes, a: int) -> None:
         """Note that `raw` lies at `a`; append and cut what it has past the stream's end."""
-        if self.toks is None:  # index the segments `restart` closed
-            self.cuts, self.tok_at, self.toks = array("i", [0]), array("i", [0]), []
-            self._index(vocab, bytes(self.stream), 0, self.joins)
-            self.joins = None
-        self.start = a
         stream = self.stream
+        if self.toks is None:  # a second text lies on the stream: index what it holds
+            self.cuts, self.tok_at, self.toks = array("i", [0]), array("i", [0]), []
+            whole = bytes(stream)
+            self._index(vocab, whole, 0, _joins(vocab, whole))
+        self.start = a
         n = len(stream)
         if len(raw) <= n - a:
             return

@@ -48,12 +48,13 @@ import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import tee
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .bpe import BpeVocab, encode, encode_span
+from .bpe import BpeVocab, encode, encode_each, encode_spans
 from .jsonl import (COUNT, INTEGER, LIST, NUMBER, STRING, STRINGS, Kind, atomic_write,
                     check, dump_line, field)
 from .rng import doubles
@@ -158,10 +159,10 @@ def fit_token_stats(
         token_counts[i] += np.bincount(ids, minlength=vocab.size)
         pending[i] = array("i")
 
-    for w in train:
+    for w, ids in zip(train, encode_each(vocab, (w.text for w in train))):
         i = index[w.label]
         window_counts[i] += 1
-        pending[i].fromlist(encode(vocab, w.text))
+        pending[i].fromlist(ids)
         # a bincount costs O(vocab.size): batch that many ids per label, and no more
         if len(pending[i]) >= vocab.size:
             flush(i)
@@ -191,8 +192,11 @@ def predict_token_stats_batch(model: TokenStatsModel,
                               windows: Iterable[WindowInstance]) -> list[str]:
     """`predict_token_stats` of each window, scored one byte stream at a time.
 
-    `bpe.encode_span` says where each window lies on the vocabulary's
-    stream: its ids are head + toks[lo:hi] + tail. For each stream, one
+    The windows are laid on the byte streams of one pass
+    (`bpe.encode_spans`). A window that starts a stream is scored by
+    `predict_token_stats`, which encodes it alone, so a body of one
+    window is encoded once and never indexed. Any later window's ids
+    are head + toks[lo:hi] + tail of its stream. For each stream, one
     cumulative sum P of log-likelihoods runs over ids = [0, *toks,
     every window's head and tail ids], so a window's score is prior +
     (P[hi] - P[lo]) + (P[e1] - P[e0]), where ids[e0 + 1..e1] are its
@@ -211,26 +215,23 @@ def predict_token_stats_batch(model: TokenStatsModel,
     the top score leads the second by more than 16 * gamma_m times the
     largest mass (two scores, each off by both paths' errors, with room
     for the rounding of the mass and the margin), both paths rank the
-    same label first. A window inside
-    that margin, exact ties included, is scored directly from its ids,
-    as `predict_token_stats` scores it. A window that lies on no
-    indexed stream (the first window of each body) goes to
-    `predict_token_stats` itself, which finds it at the start of the
-    stream it began. A label with a -inf prior (never seen in training)
-    scores -inf on both paths, so it never enters the margin.
+    same label first. A window inside that margin, exact ties included,
+    is scored directly from its ids, as `predict_token_stats` scores
+    it. A label with a -inf prior (never seen in training) scores -inf
+    on both paths, so it never enters the margin.
     """
     # the largest |prior| of a label seen in training
     prior_mass = -min(p for p in model._log_priors.tolist() if p > -np.inf)
     labels: list[str] = []
     stream, spans = None, []
-    for w in windows:
-        head, toks, lo, hi, tail = encode_span(model.vocab, w.text)
-        if toks is None:  # the window now lies on the stream it started
+    windows, laid = tee(windows)
+    for w, span in zip(windows, encode_spans(model.vocab, (w.text for w in laid))):
+        if span is None:  # a new stream: every window of the last one is in
+            _score_stream(model, prior_mass, stream, spans, labels)
+            spans = []
             labels.append(predict_token_stats(model, w))
             continue
-        if toks is not stream:
-            _score_stream(model, prior_mass, stream, spans, labels)
-            stream, spans = toks, []
+        head, stream, lo, hi, tail = span
         spans.append((len(labels), head, lo, hi, tail))
         labels.append(EMPTY)
     _score_stream(model, prior_mass, stream, spans, labels)
@@ -337,10 +338,11 @@ class ExternalModelClient:
         """Send one request per window, ids from `first` on, until done or halted."""
         # a write error ends the feed; the reader then sees the endpoint go quiet or away
         with contextlib.suppress(OSError):
-            for rid, window in enumerate(windows, first):
+            texts = (w.text for w in windows)
+            for rid, ids in enumerate(encode_each(self._vocab, texts), first):
                 if halt.is_set():
                     return
-                self._send({"id": rid, "tokens": encode(self._vocab, window.text)})
+                self._send({"id": rid, "tokens": ids})
 
     def predict(self, windows: Sequence[WindowInstance]) -> list[str]:
         labels: list[str] = []

@@ -428,10 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label windows with a fitted or external model")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True, help="per-function label sequences")
-    p.add_argument("--model", help="model file from fit")
+    labeler = p.add_mutually_exclusive_group()
+    labeler.add_argument("--model", help="model file from fit")
+    labeler.add_argument("--external", help="command line of an external labeler process")
     p.add_argument("--vocab", help="BPE vocabulary (token-stats or --external)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (prior models)")
-    p.add_argument("--external", help="command line of an external labeler process")
     p.add_argument("--targets", help="label whitelist for external predictions")
     p.add_argument("--external-timeout", type=float, default=classify.DEFAULT_TIMEOUT,
                    metavar="SECONDS",

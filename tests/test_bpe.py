@@ -21,6 +21,8 @@ from uninline.bpe import (
     BpeVocab,
     decode,
     encode,
+    encode_each,
+    encode_spans,
     load_vocab,
     save_vocab,
     train_bpe,
@@ -368,9 +370,10 @@ def test_encode_matches_rescan_oracle(corpus, limit, texts) -> None:
     vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
     expected = [_oracle_encode(vocab, text) for text in texts]
     assert [encode(vocab, text) for text in texts] == expected
-    # the memo now holds every segment: other call orders must not change a result
-    assert [encode(vocab, text) for text in reversed(texts)] == expected[::-1]
-    assert [encode(vocab, text) for text in texts] == expected
+    # the memo now holds every segment, and a pass lays each text on the stream
+    # its predecessors left: neither may change a result, in either order
+    assert list(encode_each(vocab, reversed(texts))) == expected[::-1]
+    assert list(encode_each(vocab, texts)) == expected
 
 
 # lines of few distinct bytes, so windows of different bodies often share lines
@@ -428,12 +431,18 @@ def _window_sequences(draw):
 @example(case=([b"\xff\n\xff\xff"], [b"\xff\n\xff", "\udcff\n\udcff\udcff", b"\xff"]),
          limit=300)
 def test_encode_matches_rescan_oracle_over_window_sequences(case, limit) -> None:
-    # every text goes through one vocab object, so each is laid on the stream its
+    # every text goes through one pass, so each is laid on the stream its
     # predecessors left, and must still encode as the rescan encodes it alone
     corpus, texts = case
     vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
-    assert [encode(vocab, text) for text in texts] == [_oracle_encode(vocab, text)
-                                                        for text in texts]
+    expected = [_oracle_encode(vocab, text) for text in texts]
+    assert list(encode_each(vocab, texts)) == expected
+    # a span is joined only after the pass: its stream's token list only grew since
+    spans = list(encode_spans(vocab, texts))
+    assert not texts or spans[0] is None
+    assert [encode(vocab, text) if span is None else [*span[0], *span[1][span[2]:span[3]],
+                                                      *span[4]]
+            for text, span in zip(texts, spans)] == expected
 
 
 # twelve byte values, the zero byte among them: a vocabulary's pairs then
@@ -478,8 +487,9 @@ def test_restart_by_runs_matches_rescan_oracle(vocab, raw) -> None:
     adjacent = _adjacent(vocab)
     joined = [pair in adjacent for pair in zip(raw, raw[1:])] + [False] * len(raw[:1])
     assert [bool(flag) for flag in bpe._joins(vocab, raw)] == joined
+    assert encode(vocab, raw) == _oracle_encode(vocab, raw)
     chain = bpe._Chain()
-    assert chain.restart(vocab, raw) == _oracle_encode(vocab, raw)
+    chain.restart(raw)
     chain.extend(vocab, raw, 0)  # the same text, laid on the stream it started
     starts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
     assert list(chain.cuts) == starts
@@ -497,7 +507,7 @@ def test_a_stream_grown_by_extend_matches_the_whole_text(vocab, raw) -> None:
     cuts of the whole text by definition, and its closed segments the rescan's ids."""
     ends = [i for i, byte in enumerate(raw) if byte == ord("\n")] + [len(raw)]
     chain = bpe._Chain()
-    chain.restart(vocab, raw[:ends[0]])
+    chain.restart(raw[:ends[0]])
     for end in ends:
         chain.extend(vocab, raw[:end], 0)
     adjacent = _adjacent(vocab)
@@ -527,9 +537,9 @@ def test_links_fill_every_chunk(chunk) -> None:
             assert (nxt.tolist(), prv.tolist()) == (list(range(1, n + 1)), list(range(-1, n - 1)))
 
 
-def test_encode_on_one_vocab_from_many_threads() -> None:
-    # the stream texts are laid on is shared state: each thread slides
-    # its own windows over one vocab object, with switches forced often
+def _encode_in_threads(encode_run) -> None:
+    """Run `encode_run(vocab, texts)` over four runs of windows on one
+    vocab object, a thread each, with switches forced often."""
     vocab = train_bpe(FIXTURE, vocab_size=400, min_frequency=1)
     bodies = [FIXTURE[i:] + FIXTURE[:i] for i in range(4)]
     texts = [["\n".join(body[j:j + 3]) for j in range(len(body) - 2)] * 20 for body in bodies]
@@ -537,7 +547,7 @@ def test_encode_on_one_vocab_from_many_threads() -> None:
     results: list = [None] * len(texts)
 
     def work(k: int) -> None:
-        results[k] = [encode(vocab, text) for text in texts[k]]
+        results[k] = list(encode_run(vocab, texts[k]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -551,6 +561,24 @@ def test_encode_on_one_vocab_from_many_threads() -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+def test_encode_on_one_vocab_from_many_threads() -> None:
+    _encode_in_threads(lambda vocab, texts: [encode(vocab, text) for text in texts])
+
+
+def test_encode_each_on_one_vocab_from_many_threads() -> None:
+    # each pass owns its stream; the threads share only the segment memo,
+    # where two misses of one segment store equal ids
+    _encode_in_threads(encode_each)
+
+
+def test_a_pass_over_slid_windows_starts_one_stream_per_body() -> None:
+    vocab = train_bpe(FIXTURE, vocab_size=400, min_frequency=1)
+    bodies = [FIXTURE, [line.upper() for line in FIXTURE]]
+    texts = ["\n".join(body[j:j + 3]) for body in bodies for j in range(len(body) - 2)]
+    spans = list(encode_spans(vocab, texts))
+    assert [j for j, span in enumerate(spans) if span is None] == [0, len(FIXTURE) - 2]
 
 
 def test_a_used_vocab_pickles_to_an_equal_one_that_encodes_alike() -> None:

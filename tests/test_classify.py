@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import pickle
 import random
 import sys
 import threading
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uninline import classify
+from uninline import bpe, classify
 from uninline.bpe import BpeVocab, encode, train_bpe
 from uninline.classify import (
     ExternalModelClient,
@@ -300,11 +299,7 @@ def _batch_cases(draw):
 @given(case=_batch_cases())
 def test_batch_scoring_matches_per_window_scoring(case) -> None:
     model, windows, kind = case
-    # an equal vocabulary object with a fresh stream, so the batch lays its
-    # windows on streams of its own
-    alone = TokenStatsModel(model.labels, model.alpha, pickle.loads(pickle.dumps(model.vocab)),
-                            model.window_counts, model.token_counts)
-    expected = [predict_token_stats(alone, w) for w in windows]
+    expected = [predict_token_stats(model, w) for w in windows]
     with mock.patch.object(classify, "_top_label", wraps=classify._top_label) as direct:
         assert predict_token_stats_batch(model, windows) == expected
     if kind == "ties" and len(model.labels) > 1:
@@ -331,8 +326,8 @@ def test_batch_scoring_settles_rounding_ties_directly() -> None:
 
 
 def test_batch_scoring_on_one_vocab_from_many_threads() -> None:
-    # each thread scores windows slid over its own body with one model, so
-    # the streams the spans point into are laid and replaced by other threads
+    # each thread scores windows slid over its own body with one model: each
+    # pass owns its streams, and the threads share only the segment memo
     vocab = _token_vocab()
     model = fit_token_stats(TOKEN_TRAIN, vocab)
     lines = [w.text for w in TOKEN_TRAIN] + ["MEMSETPAT(q, 0, 8);", "return 0;"]
@@ -357,6 +352,25 @@ def test_batch_scoring_on_one_vocab_from_many_threads() -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
+
+
+def test_batch_scoring_encodes_a_one_window_body_once_and_indexes_none() -> None:
+    vocab = _token_vocab()
+    model = fit_token_stats(TOKEN_TRAIN, vocab)
+    bodies = [_w(f"int f{k}(void)\n{{\n  memset(p{k}, 0, {k});\n}}") for k in range(12)]
+    expected = [predict_token_stats(model, w) for w in bodies]
+    with mock.patch.object(bpe._Chain, "_index", autospec=True,
+                           side_effect=bpe._Chain._index) as index, \
+            mock.patch.object(bpe, "_joins", wraps=bpe._joins) as joins:
+        assert predict_token_stats_batch(model, bodies) == expected
+    assert (index.call_count, joins.call_count) == (0, len(bodies))
+    # windows slid over one body are laid on its stream, which is indexed
+    slid = [_w("\n".join(w.text for w in bodies[j:j + 4]), start=j) for j in range(9)]
+    with mock.patch.object(bpe._Chain, "_index", autospec=True,
+                           side_effect=bpe._Chain._index) as index:
+        assert predict_token_stats_batch(model, slid) == [
+            predict_token_stats(model, w) for w in slid]
+    assert index.call_count > 0
 
 
 def test_batch_scoring_of_no_windows_and_of_empty_texts() -> None:

@@ -504,6 +504,18 @@ def test_usage_errors_exit_1(tmp_path) -> None:
     assert exc.value.code == 1
 
 
+def test_predict_refuses_a_model_and_an_external_labeler_together(tmp_path, capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["predict", "--windows", str(tmp_path / "w.jsonl"), "--out",
+                 str(tmp_path / "labels.jsonl"), "--model", str(tmp_path / "model.json"),
+                 "--external", "labeler"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: uninline predict")
+    assert "argument --external: not allowed with argument --model" in err
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
 def test_data_errors_exit_2(tmp_path, capsys) -> None:
     missing = tmp_path / "missing.jsonl"
     rc = cli.run(["score", "--pred", str(missing), "--truth", str(missing)])
