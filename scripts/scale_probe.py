@@ -11,15 +11,28 @@ train and held bodies times `--scale`, and `--vocab-size`), generates
 its inputs for `--seed`, and runs `pipeline.train_chain` and
 `pipeline.infer_chain` once untimed and then `--passes` times each,
 with the checks of `perfbench/run.py` after every pass. For each CLI
-stage and the in-process split it prints the median wall seconds over
-the passes (`combine`, run twice in a chain, pools both runs) and
-`ru_maxrss`, the process's high-water mark, after the stage's last run.
+stage and the in-process split it prints the median wall seconds and
+the median CPU seconds (`RUSAGE_SELF` plus `RUSAGE_CHILDREN`, so the
+external labeler's share counts) over the passes (`combine`, run twice
+in a chain, pools both runs), and `ru_maxrss`, the process's high-water
+mark, after the stage's last run. The probe and the labeler child it
+starts run on one core, as `perfbench/run.py` pins them.
+
+On a shared host wall time can swing by 2x from one minute to the next.
+CPU time leaves out the time the probe waits for its core, but it still
+moves when a neighbour slows the core itself. To compare two trees, run
+the probe from each in alternating processes and compare the stages'
+CPU medians. The stages a change does not touch are the control: if
+their ratios read away from 1.00, the host moved under the batch, and
+it is not valid.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import resource
 import shutil
 import statistics
@@ -34,6 +47,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def _cpu_s() -> float:
+    """User and system seconds of this process and of its waited-for children."""
+    return sum(r.ru_utime + r.ru_stime for r in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 
 
 def main(argv=None) -> int:
@@ -59,18 +78,20 @@ def main(argv=None) -> int:
         vocab_size=args.vocab_size or shape.vocab_size,
     )
     seconds: dict = defaultdict(list)  # (chain, stage) -> wall seconds of each timed run
+    cpu: dict = defaultdict(list)  # (chain, stage) -> CPU seconds of each timed run
     maxrss: dict = {}  # (chain, stage) -> ru_maxrss after its last run, MB
     where = {"chain": "", "timed": False}
 
     def measured(name_of, call):
         def wrapper(*argv, **kwargs):
-            t = perf_counter()
+            t, c = perf_counter(), _cpu_s()
             try:
                 return call(*argv, **kwargs)
             finally:
                 key = (where["chain"], name_of(argv))
                 if where["timed"]:
                     seconds[key].append(perf_counter() - t)
+                    cpu[key].append(_cpu_s() - c)
                 maxrss[key] = _maxrss_mb()
         return wrapper
 
@@ -86,6 +107,8 @@ def main(argv=None) -> int:
     pipeline.train_chain = chain("train", pipeline.train_chain)
     pipeline.infer_chain = chain("infer", pipeline.infer_chain)
 
+    with contextlib.suppress(OSError):  # children inherit the mask
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     base = Path(tempfile.mkdtemp(prefix="scale-probe-"))
     try:
         bench = run.Bench(pipeline, args.workload, args.seed, base)
@@ -100,10 +123,10 @@ def main(argv=None) -> int:
     print(f"{args.workload} x{args.scale} seed {args.seed}, vocab_size "
           f"{workloads.SHAPES[args.workload].vocab_size}: {work.train.lines} train and "
           f"{work.held.lines} held lines, {args.passes} passes; checks failed: {bench.failed}")
-    print(f"{'chain':5} {'stage':10} {'median s':>9} {'maxrss MB':>10}")
-    for (chain_name, stage), values in seconds.items():
-        print(f"{chain_name:5} {stage:10} {statistics.median(values):9.3f} "
-              f"{maxrss[chain_name, stage]:10.1f}")
+    print(f"{'chain':5} {'stage':10} {'median s':>9} {'cpu s':>9} {'maxrss MB':>10}")
+    for key, values in seconds.items():
+        print(f"{key[0]:5} {key[1]:10} {statistics.median(values):9.3f} "
+              f"{statistics.median(cpu[key]):9.3f} {maxrss[key]:10.1f}")
     return 1 if bench.failed else 0
 
 

@@ -36,12 +36,15 @@ finds the runs of joinable pairs; only a run is a segment of several
 bytes, and every other byte is its own id.
 
 A pass over consecutive texts (`encode_spans`, `encode_each`) shares
-their cuts on a byte stream of its own (`_Chain`): each text is laid on
-it at the first line start where the two agree byte for byte as far as
-they overlap, and only the bytes it adds are cut, so windows slid down
-a body one line at a time cut each line once. A cut depends only on the
-two bytes beside it, so a text's ids equal those of the rank-by-rank
-rescan of the text alone, whatever the pass laid before;
+their cuts: it lays each run of overlapping texts on a byte stream of
+its own, each text at the first line start where the two agree byte
+for byte as far as they overlap, and once the run is complete it
+encodes the stream once, by the runs `encode` uses. Each text's ids
+are then its stream's ids between its first and last cut, found by
+bisection, and the partial segments at its two edges, so windows slid
+down a body one line at a time cut each line once. A cut depends only
+on the two bytes beside it, so a text's ids equal those of the
+rank-by-rank rescan of the text alone, whatever else the pass laid;
 `tests/test_bpe.py` keeps the rescan as the oracle. The vocabulary
 holds no state of a pass: its memo is a pure cache.
 
@@ -64,11 +67,11 @@ from __future__ import annotations
 import logging
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, tee
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -440,14 +443,27 @@ def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
     overlapping windows shares their cuts through `encode_each`.
     """
     raw = _to_bytes(text)
+    return _by_runs(vocab, raw, _joins(vocab, raw))
+
+
+def _by_runs(vocab: BpeVocab, raw: bytes, joins: bytes, ends: array | None = None,
+             ids: array | None = None) -> list[int]:
+    """The ids of `raw`, whose joinable pairs `joins` marks, one run of them at a time.
+
+    With `ends` and `ids` given, each run's end and the number of ids
+    before that end are appended to them.
+    """
     memo = vocab._memo
     out: list[int] = []
     end = 0
-    for run in _RUN.finditer(_joins(vocab, raw)):
+    for run in _RUN.finditer(joins):
         start = run.start()
         out += raw[end:start]
         end = run.end()
         out += memo[raw[start:end]]
+        if ends is not None:
+            ends.append(end)
+            ids.append(len(out))
     out += raw[end:]
     return out
 
@@ -455,144 +471,121 @@ def encode(vocab: BpeVocab, text: str | bytes) -> list[int]:
 def encode_spans(vocab: BpeVocab, texts: Iterable[str | bytes]):
     """Where each text lies on the byte stream of one pass: None, or (head, toks, lo, hi, tail).
 
-    The pass lays each text on its stream (see `_Chain`): at the first
-    line start where the two agree byte for byte as far as they
-    overlap, and only the bytes it adds are cut. A text that lies
-    nowhere starts a new stream and gives None; its ids are `encode`'s,
-    which are not computed here. Any other text's ids are head +
-    toks[lo:hi] + tail. `toks` is the stream's token list; it only grows
-    while the stream lasts, so a span stays valid, and a new stream
-    brings a new list.
-
-    A cut depends only on the two bytes beside it, so a text's own cuts
-    are the stream's cuts strictly inside it, and its ids are the
-    partial segment up to its first cut (head), the stream's ids of the
-    whole segments between, and the partial segment from its last cut
-    (tail). The ids never depend on which texts the pass laid before.
+    The pass lays runs of overlapping texts on streams (see `_runs`). A
+    text that starts a stream gives None; its ids are `encode`'s, which
+    are not computed here. Any other text's ids are head + toks[lo:hi]
+    + tail, where `toks` is its stream's ids (see `_spans`). A run's
+    spans come once the run is complete, after the text that ends it
+    has been read.
     """
-    laid = _Chain()
-    memo = vocab._memo
-    for text in texts:
-        raw = _to_bytes(text)
-        a = laid.find(raw)
-        if a < 0:
-            laid.restart(raw)
-            yield None
-            continue
-        laid.extend(vocab, raw, a)
-        cuts, toks = laid.cuts, laid.toks
-        k1 = bisect_left(cuts, a)
-        k2 = bisect_right(cuts, a + len(raw)) - 1
-        if k1 > k2:
-            yield memo[raw], toks, 0, 0, ()
-        else:
-            lo, hi = laid.tok_at[k1], laid.tok_at[k2]
-            yield memo[raw[:cuts[k1] - a]], toks, lo, hi, memo[raw[cuts[k2] - a:]]
+    for stream, laid in _runs(texts):
+        yield None
+        if len(laid) > 2:
+            yield from _spans(vocab, stream, laid[2:])
 
 
 def encode_each(vocab: BpeVocab, texts: Iterable[str | bytes]) -> Iterator[list[int]]:
-    """`encode` of each text, in order, with cuts shared as `encode_spans` shares them."""
-    texts, laid = tee(texts)
-    for text, span in zip(texts, encode_spans(vocab, laid)):
-        if span is None:
-            yield encode(vocab, text)
-        else:
-            head, toks, lo, hi, tail = span
+    """`encode` of each text, in order, encoding each stream of `encode_spans` once.
+
+    A text that no other lies on is encoded alone; the texts of a longer
+    run, its first one too, are spans of their stream's ids.
+    """
+    for stream, laid in _runs(texts):
+        if len(laid) == 2:
+            yield encode(vocab, stream)
+            continue
+        for head, toks, lo, hi, tail in _spans(vocab, stream, laid):
             yield [*head, *toks[lo:hi], *tail]
 
 
-class _Chain:
-    """Consecutive texts of one pass laid on one byte stream, which is cut only once.
+def _runs(texts: Iterable[str | bytes]) -> Iterator[tuple[bytes, array]]:
+    """Each run of consecutive texts laid on one byte stream: the stream, and where each lies.
 
-    Once indexed, `cuts` holds the ascending segment starts of `stream`,
-    from 0, and the ids of the segment from cuts[k] to cuts[k + 1] are
-    toks[tok_at[k]:tok_at[k + 1]]; the last segment is still open and
-    has no ids yet. An indexed stream may grow long, so its `cuts` and
-    `tok_at` are int arrays, 4 bytes an entry. `start` is where the
-    last text laid began. `_index` closes segments: over the whole
-    stream when it is indexed, and over the open segment and the bytes
-    a text appends when it grows.
-
-    A text is laid at the first line start of the stream, from `start`
-    on, where the two agree byte for byte as far as they overlap, and
-    the part of it past the stream's end is appended. Texts slid down
-    a body one line at a time thus share one stream and each adds only
-    its last line. A text that lies nowhere replaces the stream, so the
-    stream holds at most one run of overlapping texts; it is indexed
-    only when a second text lies on it, so texts that never overlap
-    cost nothing beyond encoding them alone. Correctness rests only on
-    the byte comparison, not on the shape or order of the texts.
+    A text is laid at the first line start of the stream, from where the
+    text before it began, at which the two agree byte for byte as far as
+    they overlap (`_find`), and the part of it past the stream's end is
+    appended. Texts slid down a body one line at a time thus share one
+    stream and each adds only its last line. A text that lies nowhere
+    ends the run and starts the next stream. The i-th text of a run
+    is stream[laid[2i]:laid[2i + 1]]; the first lies at 0, and a run of
+    one text has that text's bytes as its stream.
+    Correctness rests only on the byte comparison, not on the shape or
+    order of the texts.
     """
-
-    __slots__ = ("stream", "cuts", "tok_at", "toks", "start")
-
-    def __init__(self):
-        self.restart(b"")
-
-    def find(self, raw: bytes) -> int:
-        """Where `raw` lies on the stream, or -1.
-
-        Where `raw` overlaps the stream by a line or more, the stream
-        holds raw's first line and its newline there, so finding that
-        head visits every such place; an overlap shorter than that lies
-        within the stream's last line.
-        """
-        stream, start = self.stream, self.start
+    stream, laid = None, array("i")
+    for text in texts:
+        raw = _to_bytes(text)
+        a = -1 if stream is None else _find(stream, laid[-2], raw)
+        if a < 0:
+            if stream is not None:
+                yield bytes(stream), laid
+            stream, laid = raw, array("i", [0, len(raw)])
+            continue
         n = len(stream)
-        head = raw[:raw.find(b"\n") + 1] or raw
-        a = stream.find(head, start)
-        while 0 <= a < n:
-            if (a == 0 or stream[a - 1] == 10) and (
-                    stream.startswith(raw, a) if len(raw) <= n - a
-                    else raw.startswith(stream[a:])):
-                return a
-            a = stream.find(head, a + 1)
-        a = stream.rfind(b"\n") + 1
-        return a if start <= a < n and raw.startswith(stream[a:]) else -1
+        if len(raw) > n - a:
+            if isinstance(stream, bytes):  # copied once a second text grows it
+                stream = bytearray(stream)
+            stream += raw[n - a:]
+        laid.extend((a, a + len(raw)))
+    if stream is not None:
+        yield bytes(stream), laid
 
-    def restart(self, raw: bytes) -> None:
-        """Make `raw` the stream, not yet indexed."""
-        self.stream = bytearray(raw)
-        self.cuts = self.tok_at = self.toks = None
-        self.start = 0
 
-    def extend(self, vocab: BpeVocab, raw: bytes, a: int) -> None:
-        """Note that `raw` lies at `a`; append and cut what it has past the stream's end."""
-        stream = self.stream
-        if self.toks is None:  # a second text lies on the stream: index what it holds
-            self.cuts, self.tok_at, self.toks = array("i", [0]), array("i", [0]), []
-            whole = bytes(stream)
-            self._index(vocab, whole, 0, _joins(vocab, whole))
-        self.start = a
-        n = len(stream)
-        if len(raw) <= n - a:
-            return
-        stream += raw[n - a:]
-        # the open segment holds no cut: only the pairs from its last byte on are new
-        opened = self.cuts[-1]
-        self._index(vocab, bytes(stream[opened:]), opened, _joins(vocab, stream[max(n - 1, 0):]))
+def _find(stream: bytes | bytearray, start: int, raw: bytes) -> int:
+    """Where `raw` lies on `stream`, at a line start from `start` on, or -1.
 
-    def _index(self, vocab: BpeVocab, piece: bytes, at: int, joins: bytes) -> None:
-        """Append the closed segments of `piece`, which starts at the cut `at`.
+    Where `raw` overlaps the stream by a line or more, the stream holds
+    raw's first line and its newline there, so finding that head visits
+    every such place; an overlap shorter than that lies within the
+    stream's last line.
+    """
+    n = len(stream)
+    head = raw[:raw.find(b"\n") + 1] or raw
+    a = stream.find(head, start)
+    while 0 <= a < n:
+        if (a == 0 or stream[a - 1] == 10) and (
+                stream.startswith(raw, a) if len(raw) <= n - a
+                else raw.startswith(stream[a:])):
+            return a
+        a = stream.find(head, a + 1)
+    a = stream.rfind(b"\n") + 1
+    return a if start <= a < n and raw.startswith(stream[a:]) else -1
 
-        `joins` is `_joins` of the end of `piece` that holds every pair
-        not known to be joined. A segment ends before each byte not
-        joined to the one before it; the last segment stays open.
-        """
-        first = len(piece) - len(joins) + 1  # the first byte whose left pair `joins` holds
-        ends = list(compress(range(first, len(piece)), joins.translate(_APART)))
-        toks, tok_at, memo = self.toks, self.tok_at, vocab._memo
-        for start, end in zip([0, *ends], ends):
-            toks += memo[piece[start:end]]
-            tok_at.append(len(toks))
-        self.cuts.fromlist([at + end for end in ends])
+
+def _spans(vocab: BpeVocab, stream: bytes, laid: array):
+    """(head, toks, lo, hi, tail) of each text laid on `stream` (see `_runs`).
+
+    The stream is encoded once, by runs, into `toks`. A cut depends only
+    on the two bytes beside it, so a text's own cuts are the stream's
+    cuts strictly inside it, and its ids are the partial segment up to
+    its first cut (head), the stream's ids of the whole segments
+    between, toks[lo:hi], and the partial segment from its last cut
+    (tail). A text inside one segment is that segment's part: its head,
+    with no toks and no tail. The ids never depend on which texts share
+    the stream.
+
+    The ids before a cut c are those before the end of the last run
+    that ends at or before c, plus one per byte from that end to c:
+    those bytes lie in no run, since no run holds a cut inside it.
+    """
+    joins = _joins(vocab, stream)
+    ends, ids = array("i", [0]), array("i", [0])
+    toks = _by_runs(vocab, stream, joins, ends, ids)
+    cut = b"\x00" + joins  # cut[p] is zero where a segment starts at p, or p is the end
+    memo = vocab._memo
+    for a, b in zip(laid[::2], laid[1::2]):
+        first, last = cut.find(0, a), cut.rfind(0, 0, b + 1)
+        if first > last:  # no cut from a to b
+            yield memo[stream[a:b]], toks, 0, 0, ()
+            continue
+        k, j = bisect_right(ends, first) - 1, bisect_right(ends, last) - 1
+        yield (memo[stream[a:first]], toks, ids[k] + first - ends[k],
+               ids[j] + last - ends[j], memo[stream[last:b]])
 
 
 # A run of joinable byte pairs in `_joins`: the bytes that join the next
 # one, and the last byte, which does not
 _RUN = re.compile(rb"[^\x00]+\x00")
-# translates `_joins` to 1 where a byte is not joined to the next, 0 elsewhere
-_APART = bytes([1]) + bytes(255)
 
 
 def _joins(vocab: BpeVocab, raw: bytes) -> bytes:

@@ -195,8 +195,9 @@ def predict_token_stats_batch(model: TokenStatsModel,
     The windows are laid on the byte streams of one pass
     (`bpe.encode_spans`). A window that starts a stream is scored by
     `predict_token_stats`, which encodes it alone, so a body of one
-    window is encoded once and never indexed. Any later window's ids
-    are head + toks[lo:hi] + tail of its stream. For each stream, one
+    window is encoded once and has no stream step. Any later window's
+    ids are head + toks[lo:hi] + tail of its stream, which is encoded
+    once all its windows are laid. For each stream, one
     cumulative sum P of log-likelihoods runs over ids = [0, *toks,
     every window's head and tail ids], so a window's score is prior +
     (P[hi] - P[lo]) + (P[e1] - P[e0]), where ids[e0 + 1..e1] are its

@@ -1,9 +1,10 @@
 """Fixed-height windows over decompiled bodies, plus class rebalancing.
 
-Scanning slides a height-h window down the body one stride at a time;
-each window is labeled with the marker whose anchor line falls inside
-it, smallest anchor first and lexicographic name on equal lines, or
-EMPTY when no anchor is covered.
+Scanning slides a height-h window down the body one stride at a time,
+and ends with the window on the body's last h lines; each window is
+labeled with the marker whose anchor line falls inside it, smallest
+anchor first and lexicographic name on equal lines, or EMPTY when no
+anchor is covered.
 
 A window is held as its text: the kept lines joined with newlines, as a
 window record stores it. Marker assignment lines are stripped from that
@@ -13,7 +14,7 @@ text so a classifier never reads the labels it is meant to predict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import DecompiledFunction, FunctionId
 from .jsonl import INTEGER, STRING, field, read_records, write_jsonl
@@ -76,14 +77,18 @@ def _window_label(body: DecompiledFunction, start: int, end: int) -> str:
 
 
 def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInstance]:
-    """All stride-spaced windows of the body; max(1, L-h+1) of them at stride 1."""
+    """The stride-spaced windows of the body, and the one that ends at its last line.
+
+    Windows start at 0, stride, 2 * stride, ... before L - h, and the
+    last starts at L - h, so a stride that does not divide L - h still
+    leaves no line at the end of the body unscanned: max(1, L-h+1)
+    windows at stride 1. A body of at most h lines is one window.
+    """
     length = len(body.lines)
     if length == 0:
         return []
-    if length <= spec.height:
-        starts: Sequence[int] = (0,)
-    else:
-        starts = range(0, length - spec.height + 1, spec.stride)
+    last = max(length - spec.height, 0)
+    starts = [*range(0, last, spec.stride), last]
     skip = frozenset(i for i, line in enumerate(body.lines) if MARKER_PREFIX in line)
     out = []
     for start in starts:

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+from array import array
 from collections import Counter
 from unittest import mock
 
@@ -430,6 +431,13 @@ def _window_sequences(draw):
          limit=300)
 @example(case=([b"\xff\n\xff\xff"], [b"\xff\n\xff", "\udcff\n\udcff\udcff", b"\xff"]),
          limit=300)
+# the second text lies wholly inside one run of joinable pairs
+@example(case=([b"b\na\na\nb"], [b"b\na\na\nb", b"a\na"]), limit=300)
+# the second text ends exactly on a cut inside the stream
+@example(case=([b"ab"], [b"ab\nab\nab", b"ab\nab"]), limit=300)
+# CRLF lines, joined across "\r\n"
+@example(case=([b"ab\r\nb\r\nab"], [b"ab\r\nb\r", b"b\r\nab", b"ab", "b\r\nab"]),
+         limit=300)
 def test_encode_matches_rescan_oracle_over_window_sequences(case, limit) -> None:
     # every text goes through one pass, so each is laid on the stream its
     # predecessors left, and must still encode as the rescan encodes it alone
@@ -437,7 +445,7 @@ def test_encode_matches_rescan_oracle_over_window_sequences(case, limit) -> None
     vocab = train_bpe(corpus, vocab_size=limit, min_frequency=1)
     expected = [_oracle_encode(vocab, text) for text in texts]
     assert list(encode_each(vocab, texts)) == expected
-    # a span is joined only after the pass: its stream's token list only grew since
+    # spans are joined after the pass: a stream's ids are never changed once yielded
     spans = list(encode_spans(vocab, texts))
     assert not texts or spans[0] is None
     assert [encode(vocab, text) if span is None else [*span[0], *span[1][span[2]:span[3]],
@@ -481,20 +489,25 @@ _TWO_LANES = BpeVocab(tuple((x, 97) for x in _ALPHABET), vocab_size_limit=300)
 @example(vocab=_AA, raw=b"ab\nb a")  # no pair joins
 @example(vocab=_AB, raw=b"abababa")  # every pair joins
 @example(vocab=_TWO_LANES, raw=b"{a}a\xffa\x00a\x01ab")
-def test_restart_by_runs_matches_rescan_oracle(vocab, raw) -> None:
-    """The ids of a text encoded alone, and the cuts of its stream once a text
-    lies on it, are the rescan's ids and the cuts by definition."""
+def test_a_stream_cut_by_runs_matches_rescan_oracle(vocab, raw) -> None:
+    """The ids of a text encoded alone, and the cuts of its stream and the
+    ids before each, are the rescan's ids and the cuts by definition."""
     adjacent = _adjacent(vocab)
     joined = [pair in adjacent for pair in zip(raw, raw[1:])] + [False] * len(raw[:1])
     assert [bool(flag) for flag in bpe._joins(vocab, raw)] == joined
     assert encode(vocab, raw) == _oracle_encode(vocab, raw)
-    chain = bpe._Chain()
-    chain.restart(raw)
-    chain.extend(vocab, raw, 0)  # the same text, laid on the stream it started
-    starts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
-    assert list(chain.cuts) == starts
-    assert [chain.toks[chain.tok_at[k]:chain.tok_at[k + 1]] for k in range(len(starts) - 1)] \
-        == [_oracle_encode(vocab, raw[i:j]) for i, j in zip(starts, starts[1:])]
+    # every prefix of the text, laid on the stream the text makes
+    prefixes = array("i", [x for end in range(len(raw) + 1) for x in (0, end)])
+    spans = list(bpe._spans(vocab, raw, prefixes))
+    cuts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
+    cuts += [len(raw)] * (len(raw) > 0)
+    # a prefix ends on a cut exactly when it has no tail, and then toks[:hi] are its ids
+    assert [end for end, span in enumerate(spans) if not span[4]] == cuts
+    assert [spans[end][3] for end in cuts] == [len(_oracle_encode(vocab, raw[:end]))
+                                               for end in cuts]
+    assert spans[-1][1] == _oracle_encode(vocab, raw)
+    assert [[*head, *toks[lo:hi], *tail] for head, toks, lo, hi, tail in spans] \
+        == [_oracle_encode(vocab, raw[:end]) for end in range(len(raw) + 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -502,19 +515,27 @@ def test_restart_by_runs_matches_rescan_oracle(vocab, raw) -> None:
 @example(vocab=_AB, raw=b"ab\nab\nba")
 @example(vocab=BpeVocab(((97, 10), (10, 97)), vocab_size_limit=300), raw=b"a\na\na\nab")
 @example(vocab=_TWO_LANES, raw=b"{a}a\n\xffa\x00a\n\na\x01ab")
-def test_a_stream_grown_by_extend_matches_the_whole_text(vocab, raw) -> None:
-    """A stream grown by laying successive line prefixes of one text holds the
-    cuts of the whole text by definition, and its closed segments the rescan's ids."""
-    ends = [i for i, byte in enumerate(raw) if byte == ord("\n")] + [len(raw)]
-    chain = bpe._Chain()
-    chain.restart(raw[:ends[0]])
-    for end in ends:
-        chain.extend(vocab, raw[:end], 0)
-    adjacent = _adjacent(vocab)
-    starts = [0, *(i for i in range(1, len(raw)) if (raw[i - 1], raw[i]) not in adjacent)]
-    assert list(chain.cuts) == starts
-    assert list(chain.tok_at) == [len(_oracle_encode(vocab, raw[:i])) for i in starts]
-    assert chain.toks == _oracle_encode(vocab, raw[:starts[-1]])
+def test_a_stream_grown_line_by_line_matches_the_whole_text(vocab, raw) -> None:
+    """Successive line prefixes of one text lie on one stream, which holds the
+    whole text, and each gets the rescan's ids of that prefix alone."""
+    # no text lies on an empty stream, so the prefixes start with the first nonempty one
+    prefixes = [raw[:i] for i, byte in enumerate(raw) if byte == ord("\n") and i] + [raw]
+    spans = list(encode_spans(vocab, prefixes))
+    assert spans[0] is None and None not in spans[1:]
+    assert [encode(vocab, prefixes[0])] + [[*head, *toks[lo:hi], *tail]
+                                           for head, toks, lo, hi, tail in spans[1:]] \
+        == [_oracle_encode(vocab, prefix) for prefix in prefixes]
+    assert all(span[1] == _oracle_encode(vocab, raw) for span in spans[1:])
+
+
+def test_a_pass_over_slid_windows_cuts_each_body_once() -> None:
+    vocab = train_bpe(FIXTURE, vocab_size=400, min_frequency=1)
+    body = FIXTURE + FIXTURE[:2]
+    texts = ["\n".join(body[j:j + 3]) for j in range(len(body) - 2)]
+    assert len(texts) == 9
+    with mock.patch.object(bpe, "_joins", wraps=bpe._joins) as joins:
+        assert list(encode_each(vocab, texts)) == [_oracle_encode(vocab, t) for t in texts]
+    assert joins.call_count == 1
 
 
 @settings(max_examples=200, deadline=None)

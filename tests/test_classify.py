@@ -359,18 +359,16 @@ def test_batch_scoring_encodes_a_one_window_body_once_and_indexes_none() -> None
     model = fit_token_stats(TOKEN_TRAIN, vocab)
     bodies = [_w(f"int f{k}(void)\n{{\n  memset(p{k}, 0, {k});\n}}") for k in range(12)]
     expected = [predict_token_stats(model, w) for w in bodies]
-    with mock.patch.object(bpe._Chain, "_index", autospec=True,
-                           side_effect=bpe._Chain._index) as index, \
+    with mock.patch.object(bpe, "_spans", wraps=bpe._spans) as spans, \
             mock.patch.object(bpe, "_joins", wraps=bpe._joins) as joins:
         assert predict_token_stats_batch(model, bodies) == expected
-    assert (index.call_count, joins.call_count) == (0, len(bodies))
-    # windows slid over one body are laid on its stream, which is indexed
+    assert (spans.call_count, joins.call_count) == (0, len(bodies))
+    # windows slid over one body lie on one stream, which is encoded once
     slid = [_w("\n".join(w.text for w in bodies[j:j + 4]), start=j) for j in range(9)]
-    with mock.patch.object(bpe._Chain, "_index", autospec=True,
-                           side_effect=bpe._Chain._index) as index:
+    with mock.patch.object(bpe, "_spans", wraps=bpe._spans) as spans:
         assert predict_token_stats_batch(model, slid) == [
             predict_token_stats(model, w) for w in slid]
-    assert index.call_count > 0
+    assert spans.call_count == 1
 
 
 def test_batch_scoring_of_no_windows_and_of_empty_texts() -> None:

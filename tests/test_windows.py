@@ -100,6 +100,26 @@ def test_stride_skips_starts() -> None:
     assert [w.start for w in ws] == [0, 5, 10]
 
 
+def test_a_stride_that_overshoots_adds_the_window_ending_at_the_last_line() -> None:
+    # the paper's non-overlapping 20-line blocks over a 45-line body
+    body = DecompiledFunction(FunctionId("x.c", "f", 0), tuple(f"line {i};" for i in range(45)),
+                              true_labels=(("memset", 43),))
+    ws = scan_windows(body, WindowSpec(height=20, stride=20))
+    assert [w.start for w in ws] == [0, 20, 25]
+    assert [w.label for w in ws] == [EMPTY, EMPTY, "memset"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.integers(1, 60), height=st.integers(1, 25), data=st.data())
+def test_every_line_lies_in_a_window_at_strides_up_to_the_height(length, height, data) -> None:
+    stride = data.draw(st.integers(1, height))
+    ws = scan_windows(make_body("f", length), WindowSpec(height=height, stride=stride))
+    covered = {line for w in ws for line in range(w.start, min(w.start + height, length))}
+    assert covered == set(range(length))
+    starts = [w.start for w in ws]
+    assert starts == sorted(set(starts)) and starts[-1] == max(length - height, 0)
+
+
 def test_spec_validation() -> None:
     with pytest.raises(ValueError):
         WindowSpec(height=0)
