@@ -12,9 +12,10 @@ every `uninline` CLI call and the in-process `split`. A stage that
 raises the mark prints one line (phase, chain, stage, the mark after
 it, the step in kB and the modules the stage imported first, each new
 package once with the count of its new submodules), so a lazily loaded
-dependency shows at the step it costs. A summary follows: per stage,
-the steps and kB during the set-ups and during the passes, and the mark
-above the post-import baseline, which is what `peak_rss_mb` reads.
+dependency shows at the step it costs. A summary follows: for every
+stage that ran, the steps and kB during the set-ups and during the
+passes, and the mark above the post-import baseline, which is what
+`peak_rss_mb` reads.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ def main(argv=None) -> int:
                 return call(*argv, **kwargs)
             finally:
                 after = _maxrss_kb()
+                key = (where["phase"], where["chain"], name_of(argv))
+                sizes = steps[key]  # the summary lists every stage that ran, steps or none
                 if after > before:
-                    key = (where["phase"], where["chain"], name_of(argv))
-                    steps[key].append(after - before)
+                    sizes.append(after - before)
                     # the real stdout: the chains send each stage's own output to a buffer
                     print(f"{key[0]:6} {key[1]:5} {key[2]:10} {after:8d} kB  "
                           f"+{after - before} kB  {_first_imports(modules)}".rstrip(),
@@ -107,7 +109,7 @@ def main(argv=None) -> int:
         print(f"{phase}: {sum(map(len, found.values()))} steps, {total} kB")
         for (_, chain_name, stage), sizes in sorted(found.items(), key=lambda kv: -sum(kv[1])):
             print(f"  {chain_name:5} {stage:10} {len(sizes):2d} steps {sum(sizes):6d} kB  "
-                  + " ".join(map(str, sizes)))
+                  f"{' '.join(map(str, sizes))}".rstrip())
     return 1 if bench.failed else 0
 
 

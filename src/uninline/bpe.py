@@ -73,7 +73,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,16 +92,10 @@ def _to_bytes(text: str | bytes) -> bytes:
     return text.encode("utf-8", "surrogateescape")
 
 
-def _first_undefined(merges: Sequence[tuple[int, int]]) -> int | None:
-    """Rank of the first merge that references an id not defined before it."""
-    for rank, (a, b) in enumerate(merges):
-        if not (0 <= a < BASE_TOKENS + rank and 0 <= b < BASE_TOKENS + rank):
-            return rank
-    return None
-
-
-def _undefined(merges: Sequence[tuple[int, int]], rank: int) -> str:
-    return f"merge {rank} references an id not yet defined: {merges[rank]}"
+def _check_merge(rank: int, a: int, b: int) -> None:
+    """Refuse the merge at `rank` if it references an id not defined before it."""
+    if not (0 <= a < BASE_TOKENS + rank and 0 <= b < BASE_TOKENS + rank):
+        raise ValueError(f"merge {rank} references an id not yet defined: {(a, b)}")
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,8 @@ class BpeVocab:
     def __post_init__(self):
         if BASE_TOKENS + len(self.merges) > self.vocab_size_limit:
             raise ValueError(f"more merges than vocab_size_limit {self.vocab_size_limit} allows")
-        rank = _first_undefined(self.merges)
-        if rank is not None:
-            raise ValueError(_undefined(self.merges, rank))
+        for rank, (a, b) in enumerate(self.merges):
+            _check_merge(rank, a, b)
         if self.min_frequency < 1:
             raise ValueError(f"min_frequency must be at least 1, not {self.min_frequency}")
 
@@ -699,24 +692,15 @@ def _ints(fields: list[str]) -> list[int]:
 def load_vocab(path: str | Path) -> BpeVocab:
     """Read a vocabulary file; an error names the `path:line` it is on.
 
-    A merge's ids are checked once, when the vocabulary is built, so a
-    merge that references an undefined id is reported wherever another
-    error would be raised first, as the first error in file order. The
-    header values are checked then too: a size limit the merges exceed,
-    or a frequency floor below 1, is reported at its header line.
+    A merge's ids are checked as its line is read, so the first error in
+    file order is the one reported. The header values are checked once
+    the vocabulary is built: a size limit the merges exceed, or a
+    frequency floor below 1, is reported at its header line.
     """
     limit, limit_at = DEFAULT_VOCAB_SIZE, str(path)
     min_freq, min_freq_at = DEFAULT_MIN_FREQUENCY, str(path)
     merges: list[tuple[int, int]] = []
-    merge_lines: list[int] = []
     id_table: dict[int, str] = {}
-
-    def fail(where: str, error: Exception | str) -> NoReturn:
-        rank = _first_undefined(merges)
-        if rank is not None:
-            where, error = f"{path}:{merge_lines[rank]}", _undefined(merges, rank)
-        raise ValueError(f"{where}: {error}") from None
-
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -733,18 +717,19 @@ def load_vocab(path: str | Path) -> BpeVocab:
                 rank, a, b = _ints(fields)
                 if rank != len(merges):
                     raise ValueError("merge ranks out of order")
+                _check_merge(rank, a, b)
                 merges.append((a, b))
-                merge_lines.append(lineno)
             elif len(fields) == 2:
                 id_table[_parse_int(fields[0])] = fields[1]
             else:
                 raise ValueError("expected 2 or 3 tab-separated fields")
         except ValueError as exc:
-            fail(f"{path}:{lineno}", exc)
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
         vocab = BpeVocab(tuple(merges), vocab_size_limit=limit, min_frequency=min_freq)
-    except ValueError as exc:  # `fail` names a merge's undefined id; else a header is bad
-        fail(limit_at if BASE_TOKENS + len(merges) > limit else min_freq_at, exc)
+    except ValueError as exc:  # every merge is defined, so a header value is bad
+        where = limit_at if BASE_TOKENS + len(merges) > limit else min_freq_at
+        raise ValueError(f"{where}: {exc}") from None
     if id_table:
         expected = {i: _escape(tok) for i, tok in enumerate(vocab.token_bytes())}
         if id_table != expected:

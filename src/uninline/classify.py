@@ -31,9 +31,9 @@ client sends requests ahead of them: the endpoint may hold several
 requests unanswered, and one that answers each line as it reads it
 qualifies. An unknown label is mapped to EMPTY and logged; a malformed
 reply, id mismatch, timeout, or closed stream raises and drops the
-whole batch rather than returning partial labels. `spawn_external`
-bounds every wait on its child by a deadline and kills a child that
-misses one.
+whole batch rather than returning partial labels. One loop writes the
+requests and reads the replies, no wait on the endpoint lasts over the
+client's timeout, and `spawn_external` kills a child whose batch failed.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ import contextlib
 import json
 import logging
 import os
-import selectors
+import select
 import subprocess
-import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import tee
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +63,7 @@ log = logging.getLogger(__name__)
 
 PROTOCOL_NAME = "uninline-external-labels"
 PROTOCOL_VERSION = 1
+DEFAULT_ALPHA = 1.0  # additive smoothing of token counts, `fit_token_stats`'s default
 
 
 def _label_order(labels: Iterable[str]) -> tuple[str, ...]:
@@ -143,7 +143,7 @@ class TokenStatsModel:
 def fit_token_stats(
     train: Sequence[WindowInstance],
     vocab: BpeVocab,
-    alpha: float = 1.0,
+    alpha: float = DEFAULT_ALPHA,
 ) -> TokenStatsModel:
     """Count tokens per label of the training windows, and the windows of each label."""
     if not train:
@@ -277,20 +277,36 @@ class ExternalProtocolError(RuntimeError):
     pass
 
 
-# seconds: the longest `spawn_external` waits on its labeler at any one time
+# seconds: the longest a client waits on its labeler at any one time
 DEFAULT_TIMEOUT = 60.0
+
+
+def _recv(replies: Iterator[bytes]) -> dict:
+    line = next(replies, b"")
+    if not line:
+        raise ExternalProtocolError("endpoint closed the stream")
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ExternalProtocolError("endpoint sent a non-object line")
+    return obj
+
+
+def _wait(events: dict[int, int], timeout: float) -> bool:
+    """Whether one of `events` (descriptor -> poll mask) comes within `timeout` seconds."""
+    poller = select.poll()
+    for fd, mask in events.items():
+        poller.register(fd, mask)
+    return bool(poller.poll(timeout * 1000))
 
 
 class ExternalModelClient:
     """Request/response channel to an external labeler, answered in order.
 
-    reader/writer are binary streams (subprocess pipes, socket
-    makefiles). `predict` sends its requests from a feeder thread while
-    it reads the replies, so neither side waits on the other's full
-    pipe. Read timeouts belong to the transport, e.g. socket.settimeout
-    or `spawn_external`'s deadline; a timeout surfaces here as a batch
-    error. On an error the feeder is left to stop at its next request;
-    one blocked in a write stops when the endpoint goes away.
+    reader/writer are unbuffered binary files (subprocess pipes, socket
+    makefiles with buffering=0), which may share one descriptor; the
+    client makes them non-blocking. No wait lasts over `timeout`
+    seconds. A batch error sets `failed`: requests and replies are then
+    out of step for good.
     """
 
     def __init__(
@@ -299,31 +315,65 @@ class ExternalModelClient:
         writer: BinaryIO,
         vocab: BpeVocab,
         known_labels: Iterable[str] | None = None,
+        timeout: float = DEFAULT_TIMEOUT,
     ):
         self._reader = reader
         self._writer = writer
+        self._in, self._out = reader.fileno(), writer.fileno()
+        for fd in (self._in, self._out):
+            os.set_blocking(fd, False)
         self._vocab = vocab
         self._known = None if known_labels is None else frozenset(known_labels)
+        self._timeout = timeout
+        self._buffer = bytearray()  # endpoint bytes not yet taken as lines
         self._next_id = 0
         self._ready = False
-        self._feeder: threading.Thread | None = None
+        self.failed = False
 
-    def _send(self, obj: dict) -> None:
-        self._writer.write(dump_line(obj).encode("utf-8") + b"\n")
-        self._writer.flush()
+    def _lines(self, requests: Iterable[bytes]) -> Iterator[bytes]:
+        """The endpoint's lines, while `requests` are written as it takes them.
 
-    def _recv(self) -> dict:
-        line = self._reader.readline()
-        if not line:
-            raise ExternalProtocolError("endpoint closed the stream")
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ExternalProtocolError("endpoint sent a non-object line")
-        return obj
+        Each turn writes what the endpoint takes of the pending request
+        and reads what it has sent, so neither side waits on the other's
+        full pipe. When neither moves, it polls for the endpoint's bytes
+        and, while a request is pending, for room to write; a poll that
+        waits over the timeout raises TimeoutError.
+        """
+        requests = iter(requests)
+        pending = memoryview(b"")
+        while True:
+            while end := self._buffer.find(b"\n") + 1:
+                line = bytes(self._buffer[:end])
+                del self._buffer[:end]
+                yield line
+            pending = pending or memoryview(next(requests, b""))
+            try:
+                wrote = os.write(self._out, pending) if pending else 0
+            except BlockingIOError:
+                wrote = 0
+            pending = pending[wrote:]
+            try:
+                chunk = os.read(self._in, 1 << 16)
+            except BlockingIOError:
+                if wrote:
+                    continue
+                events = {self._in: select.POLLIN}
+                if pending:  # one socket may serve both ways: one mask holds both events
+                    events[self._out] = events.get(self._out, 0) | select.POLLOUT
+                if not _wait(events, self._timeout):
+                    raise TimeoutError(f"labeler sent nothing for {self._timeout:g} s") from None
+                continue
+            if not chunk:
+                break
+            self._buffer += chunk
+        if self._buffer:  # the bytes after the stream's last newline
+            line = bytes(self._buffer)
+            self._buffer.clear()
+            yield line
 
     def handshake(self) -> None:
-        self._send({"proto": PROTOCOL_NAME, "version": PROTOCOL_VERSION})
-        reply = self._recv()
+        hello = dump_line({"proto": PROTOCOL_NAME, "version": PROTOCOL_VERSION})
+        reply = _recv(self._lines([hello.encode("utf-8") + b"\n"]))
         try:
             # by kind first: true and 1.0 equal version 1 in Python
             proto = check("proto", reply.get("proto"), STRING)
@@ -334,30 +384,18 @@ class ExternalModelClient:
             raise ExternalProtocolError(f"handshake rejected: {reply!r}")
         self._ready = True
 
-    def _feed(self, windows: Sequence[WindowInstance], first: int,
-              halt: threading.Event) -> None:
-        """Send one request per window, ids from `first` on, until done or halted."""
-        # a write error ends the feed; the reader then sees the endpoint go quiet or away
-        with contextlib.suppress(OSError):
-            texts = (w.text for w in windows)
-            for rid, ids in enumerate(encode_each(self._vocab, texts), first):
-                if halt.is_set():
-                    return
-                self._send({"id": rid, "tokens": ids})
-
     def predict(self, windows: Sequence[WindowInstance]) -> list[str]:
         labels: list[str] = []
-        halt = threading.Event()
         try:
             if not self._ready:
                 self.handshake()
             first = self._next_id
             self._next_id += len(windows)
-            self._feeder = threading.Thread(target=self._feed, args=(windows, first, halt),
-                                            daemon=True)
-            self._feeder.start()
+            ids = encode_each(self._vocab, (w.text for w in windows))
+            replies = self._lines(dump_line({"id": rid, "tokens": toks}).encode("utf-8") + b"\n"
+                                  for rid, toks in enumerate(ids, first))
             for rid in range(first, self._next_id):
-                reply = self._recv()
+                reply = _recv(replies)
                 if check("id", reply.get("id"), INTEGER) != rid:
                     raise ExternalProtocolError(
                         f"response id {reply['id']!r} does not match request {rid}"
@@ -367,69 +405,11 @@ class ExternalModelClient:
                     log.warning("unknown label %r from endpoint; recorded as EMPTY", label)
                     label = EMPTY
                 labels.append(label)
-            # every reply is in, so the endpoint has read every request
-            self._feeder.join()
         except (OSError, ValueError) as exc:
             raise ExternalProtocolError(f"batch failed, partial labels discarded: {exc}") from exc
         finally:
-            halt.set()  # after an error, a feeder still sending stops at its next request
+            self.failed |= len(labels) < len(windows)  # cut short: replies now out of step
         return labels
-
-
-class _Pipe:
-    """One end of a pipe to a labeler, on which no wait lasts over `timeout` seconds.
-
-    The descriptor does not block: a read or write goes straight to it,
-    and only when it is not ready does a selector wait for it.
-    """
-
-    def __init__(self, file: BinaryIO, event: int, timeout: float):
-        self._file = file
-        self._fd = file.fileno()
-        os.set_blocking(self._fd, False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._fd, event)
-        self._timeout = timeout
-        self._buffer = bytearray()
-
-    @property
-    def closed(self) -> bool:
-        return self._file.closed
-
-    def _wait(self, what: str) -> None:
-        if not self._selector.select(self._timeout):
-            raise TimeoutError(f"labeler {what} for {self._timeout:g} s")
-
-    def readline(self) -> bytes:
-        """The next line, or what is left before end of stream (b"" at its end)."""
-        while not (end := self._buffer.find(b"\n") + 1):
-            try:
-                chunk = os.read(self._fd, 1 << 16)
-            except BlockingIOError:
-                self._wait("sent nothing")
-                continue
-            if not chunk:
-                end = len(self._buffer)
-                break
-            self._buffer += chunk
-        line = bytes(self._buffer[:end])
-        del self._buffer[:end]
-        return line
-
-    def write(self, data: bytes) -> None:
-        view = memoryview(data)
-        while view:
-            try:
-                view = view[os.write(self._fd, view):]
-            except BlockingIOError:
-                self._wait("took no input")
-
-    def flush(self) -> None:
-        pass  # nothing is buffered
-
-    def close(self) -> None:
-        self._selector.close()
-        self._file.close()
 
 
 def _reap(proc: subprocess.Popen, timeout: float) -> None:
@@ -440,11 +420,9 @@ def _reap(proc: subprocess.Popen, timeout: float) -> None:
         proc.wait(timeout)
         return
     try:
-        with selectors.DefaultSelector() as selector:
-            selector.register(exited, selectors.EVENT_READ)
-            if not selector.select(timeout):
-                raise TimeoutError(f"labeler did not exit within {timeout:g} s "
-                                   "of its input closing")
+        if not _wait({exited: select.POLLIN}, timeout):
+            raise TimeoutError(f"labeler did not exit within {timeout:g} s "
+                               "of its input closing")
     finally:
         os.close(exited)
     proc.wait()
@@ -464,34 +442,26 @@ def spawn_external(
     bytes, or for it to exit. When the block ends, the child's stdin is
     closed, its stdout read to the end and the child reaped; a wait
     there that times out raises ExternalProtocolError. If anything
-    raises, or a failed batch left its feeder thread sending, the child
-    is killed, and its pipes are closed only after the feeder has
-    stopped.
+    raises, or a batch failed, the child is killed.
     """
-    proc = subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            bufsize=0)
-    reader = _Pipe(proc.stdout, selectors.EVENT_READ, timeout)
-    writer = _Pipe(proc.stdin, selectors.EVENT_WRITE, timeout)
-    client = ExternalModelClient(reader, writer, vocab, known_labels)
-    try:
-        yield client
-        if client._feeder is not None and client._feeder.is_alive():
-            return  # a batch failed while its feeder still sends: the child is killed
+    with subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          bufsize=0) as proc:  # which closes both pipes on the way out
+        client = ExternalModelClient(proc.stdout, proc.stdin, vocab, known_labels, timeout)
         try:
-            writer.close()
-            while reader.readline():  # to end of stream, which the child's exit brings
-                pass
-            _reap(proc, timeout)
-        except (TimeoutError, subprocess.TimeoutExpired) as exc:
-            raise ExternalProtocolError(f"{exc}; killed") from None
-    finally:
-        if proc.returncode is None:
-            proc.kill()
-            proc.wait()
-        if client._feeder is not None:
-            client._feeder.join()
-        writer.close()
-        reader.close()
+            yield client
+            if client.failed:
+                return  # its requests and replies are out of step: the child is killed
+            try:
+                proc.stdin.close()
+                for _ in client._lines(()):  # to end of stream, which the child's exit brings
+                    pass
+                _reap(proc, timeout)
+            except (TimeoutError, subprocess.TimeoutExpired) as exc:
+                raise ExternalProtocolError(f"{exc}; killed") from None
+        finally:
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
 
 
 # one token_counts triple, indented as json.dumps(indent=1) indents it

@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--discard-fraction", type=float, default=windows.DEFAULT_DISCARD_FRACTION)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=windows.DEFAULT_SEED)
     p.set_defaults(func=_cmd_rebalance)
 
     p = sub.add_parser("fit", help="fit a window classifier")
@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", required=True, help="training windows")
     p.add_argument("--out", required=True, help="model file")
     p.add_argument("--vocab", help="BPE vocabulary (token-stats)")
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
+    p.add_argument("--alpha", type=float, default=classify.DEFAULT_ALPHA,
+                   help="additive smoothing")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="label windows with a fitted or external model")
@@ -460,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score predictions against truth multisets")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--by", choices=("optimization", "name", "none"), default="optimization")
+    p.add_argument("--by", choices=("optimization", "name", "none"),
+                   default=evaluate.DEFAULT_BREAKDOWN)
     p.add_argument("--report", help="write the full report as JSON")
     p.add_argument("--per-name-out", help="write per-name metric records")
     p.set_defaults(func=_cmd_score)

@@ -21,6 +21,7 @@ from .combine import FunctionRecovery, RecoveryMultiset
 from .jsonl import atomic_write
 
 UNTAGGED = "untagged"
+DEFAULT_BREAKDOWN = "optimization"
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class EvalReport:
             "unique_functions_recovered": self.unique_functions_recovered,
         }
 
-    def render(self, breakdown: str = "optimization") -> str:
+    def render(self, breakdown: str = DEFAULT_BREAKDOWN) -> str:
         """Aligned text table; one row per breakdown key plus the overall row."""
         if breakdown == "optimization":
             rows = sorted(self.by_optimization.items())

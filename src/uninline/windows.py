@@ -26,6 +26,7 @@ EMPTY = ""
 DEFAULT_HEIGHT = 20
 DEFAULT_STRIDE = 1
 DEFAULT_DISCARD_FRACTION = 0.65
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInsta
 def rebalance(
     instances: Iterable[WindowInstance],
     discard_fraction: float = DEFAULT_DISCARD_FRACTION,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> list[WindowInstance]:
     """Thin the EMPTY class, keeping each unlabeled window with p = 1 - fraction.
 

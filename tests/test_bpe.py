@@ -684,3 +684,11 @@ def test_vocab_file_errors_name_the_line(tmp_path, line) -> None:
     path.write_text(f"# byte-level bpe vocabulary\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
         load_vocab(path)
+
+
+def test_vocab_file_undefined_merge_is_named_before_a_later_bad_line(tmp_path) -> None:
+    path = tmp_path / "vocab.tsv"
+    path.write_text("# byte-level bpe vocabulary\n0\t97\t256\n1\t97\tb\n")  # 3: not an id
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: merge 0 references an "
+                                         r"id not yet defined: \(97, 256\)$"):
+        load_vocab(path)

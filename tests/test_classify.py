@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import math
 import random
+import socket
+import subprocess
 import sys
 import threading
 import time
@@ -518,35 +520,101 @@ def test_external_rejects_a_reply_id_that_is_no_json_integer(tmp_path, reply_ids
             client.predict([_w("a"), _w("b")])
 
 
-def test_external_client_sends_the_readme_protocol_lines() -> None:
+# copies each line it reads to the file argv[1], and only then answers it with the
+# next of argv[2:]: it cannot answer a request before the client has sent it
+SERVER_COPY_TO_FILE = """\
+import sys
+with open(sys.argv[1], "wb") as sent:
+    for reply in sys.argv[2:]:
+        sent.write(sys.stdin.buffer.readline()); sent.flush()
+        sys.stdout.buffer.write(reply.encode() + b"\\n"); sys.stdout.flush()
+"""
+
+
+@contextlib.contextmanager
+def _copying_server(tmp_path, *replies: str):
+    """Pipes to and from SERVER_COPY_TO_FILE, as (replies, requests) files."""
+    argv = [*_server(tmp_path, SERVER_COPY_TO_FILE), str(tmp_path / "sent"), *replies]
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          bufsize=0) as proc:
+        yield proc.stdout, proc.stdin
+
+
+def test_external_client_sends_the_readme_protocol_lines(tmp_path) -> None:
     """The handshake and a request, byte for byte, and as README shows them."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     shown = [line.split("-> ", 1)[1] for line in readme.splitlines()
              if line.startswith("client -> ")]
-    replies = io.BytesIO(b'{"proto":"uninline-external-labels","version":1}\n'
-                         b'{"id":0,"label":""}\n')
-    sent = io.BytesIO()
-    client = ExternalModelClient(replies, sent, BpeVocab(()))
-    assert client.predict([_w("ab")]) == [EMPTY]
-    assert sent.getvalue() == (b'{"proto":"uninline-external-labels","version":1}\n'
-                               b'{"id":0,"tokens":[97,98]}\n')
-    handshake, request = sent.getvalue().decode().splitlines()
+    with _copying_server(tmp_path, '{"proto":"uninline-external-labels","version":1}',
+                         '{"id":0,"label":""}') as (replies, requests):
+        client = ExternalModelClient(replies, requests, BpeVocab(()))
+        assert client.predict([_w("ab")]) == [EMPTY]
+    sent = (tmp_path / "sent").read_bytes()
+    assert sent == (b'{"proto":"uninline-external-labels","version":1}\n'
+                    b'{"id":0,"tokens":[97,98]}\n')
+    handshake, request = sent.decode().splitlines()
     assert json.loads(handshake) == json.loads(shown[0])
     assert shown[1].startswith('{"id": 0, "tokens": [')
 
 
 @pytest.mark.parametrize("reply, field", [
-    (b'{"proto":"uninline-external-labels","version":true}', "version"),
-    (b'{"proto":"uninline-external-labels","version":1.0}', "version"),
-    (b'{"proto":"uninline-external-labels"}', "version"),
-    (b'{"proto":["uninline-external-labels"],"version":1}', "proto"),
+    ('{"proto":"uninline-external-labels","version":true}', "version"),
+    ('{"proto":"uninline-external-labels","version":1.0}', "version"),
+    ('{"proto":"uninline-external-labels"}', "version"),
+    ('{"proto":["uninline-external-labels"],"version":1}', "proto"),
 ], ids=["version-true", "version-float", "version-missing", "proto-list"])
-def test_handshake_checks_reply_kinds_before_values(reply, field) -> None:
+def test_handshake_checks_reply_kinds_before_values(tmp_path, reply, field) -> None:
     # true and 1.0 equal version 1 in Python, so only the kind tells them apart
-    client = ExternalModelClient(io.BytesIO(reply + b"\n"), io.BytesIO(), BpeVocab(()))
-    with pytest.raises(ExternalProtocolError, match=f"handshake rejected: field '{field}'"):
-        client.handshake()
+    with _copying_server(tmp_path, reply) as (replies, requests):
+        client = ExternalModelClient(replies, requests, BpeVocab(()))
+        with pytest.raises(ExternalProtocolError, match=f"handshake rejected: field '{field}'"):
+            client.handshake()
     assert not client._ready
+
+
+def test_external_client_bounds_its_own_waits_on_a_socket() -> None:
+    # one descriptor serves both ways, and the transport sets no timeout of its own
+    with contextlib.ExitStack() as stack:
+        ours, _silent = map(stack.enter_context, socket.socketpair())
+        reader = stack.enter_context(ours.makefile("rb", buffering=0))
+        writer = stack.enter_context(ours.makefile("wb", buffering=0))
+        client = ExternalModelClient(reader, writer, BpeVocab(()), timeout=0.3)
+        started = time.monotonic()
+        with pytest.raises(ExternalProtocolError, match=r"labeler sent nothing for 0\.3 s$"):
+            client.predict([_w("a")])
+        assert time.monotonic() - started < 2
+        assert client.failed
+
+
+def test_external_client_on_a_socket_moves_more_than_a_buffer_each_way() -> None:
+    ws = [_w(f"window {k} " + "x" * 80) for k in range(4000)]
+    labels = ["%d" % k + "." * 100 for k in range(len(ws))]
+
+    def answer(peer: socket.socket) -> None:
+        # the handshake back as it came, then each request's label as its line is read
+        with peer.makefile("rb") as lines, peer.makefile("wb", buffering=0) as out:
+            out.write(lines.readline())
+            for line in lines:
+                rid = json.loads(line)["id"]
+                out.write(dump_line({"id": rid, "label": labels[rid]}).encode() + b"\n")
+
+    with contextlib.ExitStack() as stack:
+        ours, theirs = map(stack.enter_context, socket.socketpair())
+        theirs.settimeout(30)
+        buffer = ours.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        sent = sum(len(dump_line({"id": k, "tokens": list(w.text.encode())})) + 1
+                   for k, w in enumerate(ws))
+        assert min(sent, sum(len(label) for label in labels)) > buffer
+        peer = threading.Thread(target=answer, args=(theirs,))
+        peer.start()
+        with ours.makefile("rb", buffering=0) as reader, \
+                ours.makefile("wb", buffering=0) as writer:
+            client = ExternalModelClient(reader, writer, BpeVocab(()), timeout=30)
+            got = client.predict(ws)
+        ours.shutdown(socket.SHUT_RDWR)  # the peer reads to the end of its input
+        peer.join(timeout=30)
+    assert not peer.is_alive()
+    assert got == labels and not client.failed
 
 
 def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:
@@ -636,8 +704,8 @@ time.sleep(60)
 
 @pytest.mark.parametrize("caught", ["outside", "inside"])
 def test_external_error_mid_batch_ends_the_labeler_at_once(tmp_path, caught) -> None:
-    # the feeder fills the pipe the labeler no longer reads and waits in a write;
-    # the block ends with the batch error or, caught inside it, normally
+    # the labeler reads no more, and the client's requests fill its pipe; the
+    # block ends with the batch error or, caught inside it, normally
     vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
     ws = [_w("x" * 80) for _ in range(3000)]
     argv = _server(tmp_path, SERVER_WRONG_ID_THEN_DEAF)
@@ -651,7 +719,7 @@ def test_external_error_mid_batch_ends_the_labeler_at_once(tmp_path, caught) -> 
             with spawn_external(argv, vocab, timeout=30) as client:
                 client.predict(ws)
     assert time.monotonic() - started < 20
-    assert client._reader.closed and not client._feeder.is_alive()
+    assert client._reader.closed and client.failed
 
 
 def test_external_exit_waits_without_sleeping(tmp_path, monkeypatch) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from conftest import make_body
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uninline import bpe, cli, coalesce, combine, corpus, markers, windows
+from uninline import bpe, classify, cli, coalesce, combine, corpus, evaluate, markers, windows
 from uninline.combine import FunctionRecovery, RecoveryMultiset
 from uninline.corpus import DecompiledFunction, FunctionId
 
@@ -79,6 +80,42 @@ def test_coalesce_command_defaults_are_the_library_defaults(tmp_path, monkeypatc
     rc = cli.run(["coalesce", "--labels", str(labels_path), "--out", str(tmp_path / "rec.jsonl")])
     assert rc == 0
     assert used == [coalesce.CoalesceParams()]
+
+
+def test_rebalance_fit_and_score_defaults_are_the_library_defaults(tmp_path, monkeypatch) -> None:
+    # each option's default is the value its library function takes when not given one
+    win_path = tmp_path / "w.jsonl"
+    windows.write_windows(
+        win_path, windows.scan_windows(make_body("f", 22), windows.WindowSpec())
+    )
+    vocab_path = tmp_path / "vocab.tsv"
+    bpe.save_vocab(vocab_path, bpe.train_bpe(["ab ab"], vocab_size=257, min_frequency=1))
+    rec_path = tmp_path / "rec.jsonl"
+    combine.write_recoveries(
+        rec_path, [FunctionRecovery(FunctionId("a.c", "f", 0), RecoveryMultiset({"memset": 1}))])
+    used = {}
+
+    def spy(owner, name: str, param: str) -> None:
+        real = getattr(owner, name)
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            used[name] = (bound.arguments[param], signature.parameters[param].default)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(windows, "rebalance", "seed")
+    spy(classify, "fit_token_stats", "alpha")
+    spy(evaluate.EvalReport, "render", "breakdown")
+    for argv in (["rebalance", "--windows", str(win_path), "--out", str(tmp_path / "b.jsonl")],
+                 ["fit", "--kind", "token-stats", "--windows", str(win_path),
+                  "--vocab", str(vocab_path), "--out", str(tmp_path / "model.json")],
+                 ["score", "--pred", str(rec_path), "--truth", str(rec_path)]):
+        assert cli.run(argv) == 0
+    assert sorted(used) == ["fit_token_stats", "rebalance", "render"]
+    assert all(value == default for value, default in used.values()), used
 
 
 def _mk_record(fn_name: str, ordinal: int, labeled: bool) -> DecompiledFunction:
