@@ -695,12 +695,16 @@ def load_vocab(path: str | Path) -> BpeVocab:
     A merge's ids are checked as its line is read, so the first error in
     file order is the one reported. The header values are checked once
     the vocabulary is built: a size limit the merges exceed, or a
-    frequency floor below 1, is reported at its header line.
+    frequency floor below 1, is reported at its header line. So is the
+    id table, once the merges give each id's text: its first line in
+    file order with an id out of range, an id listed again or a text
+    that disagrees. A table that leaves ids out names only the path.
     """
     limit, limit_at = DEFAULT_VOCAB_SIZE, str(path)
     min_freq, min_freq_at = DEFAULT_MIN_FREQUENCY, str(path)
     merges: list[tuple[int, int]] = []
     id_table: dict[int, str] = {}
+    repeated = False  # an id listed twice, which the dict alone would hide
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -720,7 +724,9 @@ def load_vocab(path: str | Path) -> BpeVocab:
                 _check_merge(rank, a, b)
                 merges.append((a, b))
             elif len(fields) == 2:
-                id_table[_parse_int(fields[0])] = fields[1]
+                tid = _parse_int(fields[0])
+                repeated = repeated or tid in id_table
+                id_table[tid] = fields[1]
             else:
                 raise ValueError("expected 2 or 3 tab-separated fields")
         except ValueError as exc:
@@ -732,6 +738,32 @@ def load_vocab(path: str | Path) -> BpeVocab:
         raise ValueError(f"{where}: {exc}") from None
     if id_table:
         expected = {i: _escape(tok) for i, tok in enumerate(vocab.token_bytes())}
-        if id_table != expected:
-            raise ValueError(f"{path}: id table disagrees with the merge list")
+        if repeated or id_table != expected:
+            raise ValueError(_id_table_error(path, expected))
     return vocab
+
+
+def _id_table_error(path: str | Path, expected: dict[int, str]) -> str:
+    """The first id-table line of `path` in file order that `expected` refutes.
+
+    `load_vocab` has parsed every line, so only an error pays for
+    reading the file again. A table whose every line agrees leaves ids
+    out, and no line shows that: then only the path is named.
+    """
+    listed = set()
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        fields = line.split("\t")
+        if len(fields) != 2 or line.startswith("#") or not line.strip():
+            continue
+        tid, text = int(fields[0]), fields[1]
+        if tid not in expected:
+            problem = f"id {tid} is outside the {len(expected)} tokens of the merge list"
+        elif tid in listed:
+            problem = f"id {tid} is listed again"
+        elif text != expected[tid]:
+            problem = f"id {tid} reads {text}, where the merge list gives {expected[tid]}"
+        else:
+            listed.add(tid)
+            continue
+        return f"{path}:{lineno}: id table disagrees with the merge list: {problem}"
+    return f"{path}: id table disagrees with the merge list"

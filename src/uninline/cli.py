@@ -29,7 +29,7 @@ from typing import Sequence
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
 from .jsonl import (NUMBER, STRING, Kind, append_jsonl, atomic_write, field, read_records,
-                    write_jsonl)
+                    record_line, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -206,23 +206,32 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _group_windows(pool: Sequence[windows.WindowInstance]):
-    groups: list[tuple[corpus.FunctionId, list[windows.WindowInstance]]] = []
+def _group_windows(path, pool: Sequence[windows.WindowInstance]):
+    """(function id, window count) of each function, in input order.
+
+    A function's windows must be contiguous and rise in `start`, as
+    `windows` writes them; a window out of place is refused at its line.
+    """
+    groups: list[list] = []
     seen = set()
-    for w in pool:
+    for i, w in enumerate(pool):
         if groups and groups[-1][0] == w.func_id:
-            groups[-1][1].append(w)
+            if w.start <= pool[i - 1].start:
+                raise ValueError(f"{path}:{record_line(path, i)}: field 'start' is {w.start}, "
+                                 f"not past the {pool[i - 1].start} of the window before it")
+            groups[-1][1] += 1
             continue
         if w.func_id in seen:
-            raise ValueError(f"windows of {w.func_id} are not contiguous in the input")
+            raise ValueError(f"{path}:{record_line(path, i)}: field 'func_id': the windows of "
+                             f"{w.func_id.as_json()} are not contiguous")
         seen.add(w.func_id)
-        groups.append((w.func_id, [w]))
+        groups.append([w.func_id, 1])
     return groups
 
 
 def _cmd_predict(args) -> int:
     pool = windows.read_windows(args.windows)
-    groups = _group_windows(pool)
+    groups = _group_windows(args.windows, pool)
     inputs = [args.windows]
     seeds = {}
     if args.external:
@@ -254,9 +263,9 @@ def _cmd_predict(args) -> int:
             labels = classify.predict_token_stats_batch(model, pool)
     sequences = []
     offset = 0
-    for fid, ws in groups:
-        sequences.append(coalesce.LabelSequence(fid, tuple(labels[offset:offset + len(ws)])))
-        offset += len(ws)
+    for fid, count in groups:
+        sequences.append(coalesce.LabelSequence(fid, tuple(labels[offset:offset + count])))
+        offset += count
     sequences.sort(key=lambda s: s.func_id)
     coalesce.write_label_sequences(args.out, sequences)
     _record_run("predict", args, inputs, [args.out], seeds=seeds)

@@ -136,7 +136,7 @@ def coalesce(
 
 
 def read_label_sequences(path) -> list[LabelSequence]:
-    return read_records(path, LabelSequence.from_json)
+    return read_records(path, LabelSequence.from_json, key="func_id")
 
 
 def write_label_sequences(path, sequences: Iterable[LabelSequence]) -> int:

@@ -87,7 +87,7 @@ class FunctionRecovery:
 
 
 def read_recoveries(path) -> list[FunctionRecovery]:
-    return read_records(path, FunctionRecovery.from_json)
+    return read_records(path, FunctionRecovery.from_json, key="func_id")
 
 
 def write_recoveries(path, records: Iterable[FunctionRecovery]) -> int:

@@ -146,7 +146,7 @@ class DecompiledFunction:
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
-    return jsonl.read_records(path, DecompiledFunction.from_json)
+    return jsonl.read_records(path, DecompiledFunction.from_json, key="id")
 
 
 def write_functions(path: str | Path, functions: Iterable[DecompiledFunction]) -> int:

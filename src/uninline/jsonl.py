@@ -95,22 +95,41 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         yield obj
 
 
-def read_records(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+def record_line(path: str | Path, index: int) -> int:
+    """The line number of the `index`-th record of `path`, counting from 0.
+
+    `read_jsonl` yields bare objects, so a record's line is found by
+    reading the file again, which only an error pays for.
+    """
+    lineno, _ = next(islice(_nonblank(path), index, None))
+    return lineno
+
+
+def read_records(path: str | Path, decode: Callable[[dict], T],
+                 key: str | None = None) -> list[T]:
     """Decode every object of a JSONL file; a decoding error names its `path:line`.
 
     `decode` raises ValueError for an ill-typed field and KeyError for a
-    missing one. `read_jsonl` yields bare objects, so the failing
-    record's line is found by reading the file again, which only an
-    error pays for.
+    missing one. `key`, when given, is the field that identifies a
+    record and the decoded record's attribute of that name: a record
+    whose key an earlier one holds is refused, naming both lines.
     """
     records: list[T] = []
+    seen: set = set()
     for obj in read_jsonl(path):
         try:
-            records.append(decode(obj))
+            record = decode(obj)
+            if key is not None:
+                value = getattr(record, key)
+                if value in seen:
+                    first = next(i for i, r in enumerate(records) if getattr(r, key) == value)
+                    raise ValueError(f"field {key!r} repeats {reprlib.repr(obj[key])} "
+                                     f"of line {record_line(path, first)}")
+                seen.add(value)
+            records.append(record)
         except (KeyError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            lineno, _ = next(islice(_nonblank(path), len(records), None))
-            raise ValueError(f"{path}:{lineno}: {detail}") from None
+            raise ValueError(f"{path}:{record_line(path, len(records))}: {detail}") from None
     return records
 
 

@@ -669,6 +669,45 @@ def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None
     assert not out.exists()
 
 
+_OTHER_ID = ["b.c", "g", 0]
+
+
+@pytest.mark.parametrize("stage, records, field", [
+    ("reconcile", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
+    ("windows", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
+    ("predict", [WINDOW, {**WINDOW, "start": 1}, WINDOW], "start"),
+    ("predict", [WINDOW, {**WINDOW, "func_id": _OTHER_ID}, WINDOW], "func_id"),
+    ("coalesce", [LABELS, {**LABELS, "func_id": _OTHER_ID}, LABELS], "func_id"),
+    ("combine", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
+    ("score", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
+], ids=["reconcile", "windows", "predict-start", "predict-apart", "coalesce", "combine",
+        "score"])
+def test_repeated_function_exits_2_at_its_line(tmp_path, capsys, stage, records, field) -> None:
+    """A second body of one function is refused where it starts, never merged into the first."""
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    # a blank line counts toward the location too
+    path.write_text(json.dumps(records[0]) + "\n" + json.dumps(records[1]) + "\n\n"
+                    + json.dumps(records[2]) + "\n")
+    targets, model, other = tmp_path / "targets.txt", tmp_path / "model.json", tmp_path / "o"
+    targets.write_text("memset\n")
+    model.write_text(json.dumps(PRIOR))
+    other.write_text(json.dumps(RECOVERY) + "\n")
+    argv = {
+        "reconcile": ["--functions", path, "--targets", targets, "--out", out],
+        "windows": ["--functions", path, "--out", out],
+        "predict": ["--windows", path, "--model", model, "--out", out],
+        "coalesce": ["--labels", path, "--out", out],
+        "combine": ["--model", path, "--decompiler", other, "--out", out],
+        "score": ["--pred", path, "--truth", other, "--report", out],
+    }[stage]
+    assert cli.run([stage, *map(str, argv)]) == 2
+    err = capsys.readouterr().err
+    assert f"uninline {stage}: error: {path}:4: " in err and f"'{field}'" in err, err
+    if field in ("id", "func_id") and stage != "predict":
+        assert "of line 1" in err
+    assert not out.exists()
+
+
 def _stage_reading(stage: str, path, out) -> list[str]:
     return {
         "rebalance": ["rebalance", "--windows", str(path), "--out", str(out)],
@@ -865,17 +904,30 @@ def test_seeded_stages_load_no_numpy_random(tmp_path) -> None:
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("line", ["0\tx\t97", "0\t97\t300"], ids=["non-integer", "undefined-id"])
-def test_malformed_vocab_exits_2_with_location(tmp_path, capsys, line) -> None:
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines: [lines[0], "0\tx\t97"], 2),
+    (lambda lines: [lines[0], "0\t97\t300"], 2),
+    # the id table of a vocabulary with no merges: id i is on line 4 + i
+    (lambda lines: lines[:8] + ["5\tx"] + lines[9:], 9),
+    (lambda lines: lines + ["256\tx"], 260),
+    (lambda lines: lines[:8] + ["5\tx"] + lines[8:], 9),
+    (lambda lines: lines[:9] + [lines[8]] + lines[9:], 10),
+    (lambda lines: lines[:-1], None),
+], ids=["non-integer", "undefined-id", "table-wrong-text", "table-id-out-of-range",
+        "table-wrong-text-then-right", "table-id-listed-again", "table-incomplete"])
+def test_malformed_vocab_exits_2_with_location(tmp_path, capsys, edit, line) -> None:
     vocab = tmp_path / "vocab.txt"
-    vocab.write_text(f"# byte-level bpe vocabulary\n{line}\n")
+    bpe.save_vocab(vocab, bpe.BpeVocab(()))
+    vocab.write_text("\n".join(edit(vocab.read_text().splitlines())) + "\n")
     train = tmp_path / "windows.jsonl"
     train.write_text("")
     out = tmp_path / "model.json"
     argv = ["fit", "--kind", "token-stats", "--windows", str(train), "--vocab", str(vocab),
             "--out", str(out)]
     assert cli.run(argv) == 2
-    assert f"error: {vocab}:2: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a table that leaves ids out has no line to name
+    assert f"error: {vocab}:{line}: " in err if line else f"error: {vocab}: id table" in err
     assert not out.exists()
 
 

@@ -1,12 +1,18 @@
-"""Smoke runs of the evidence scripts under scripts/ on the smallest workload."""
+"""The evidence scripts under scripts/: a smoke run of the stage probe on the smallest
+workload, and the summary that `bench_pairs.py` writes from synthetic run files."""
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+import bench_pairs  # noqa: E402
 
 # the CLI stages of each benchmark chain, and the in-process split
 STAGES = {("train", stage) for stage in
@@ -15,26 +21,71 @@ STAGES = {("train", stage) for stage in
           ("split", "reconcile", "windows", "predict", "coalesce", "combine", "score")}
 
 
-def _run(script: str, *args: str) -> str:
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+def _probe(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "scale_probe.py"), *args],
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "checks failed: 0" in done.stdout
-    return done.stdout
-
-
-def _stages(lines) -> set:
-    return {tuple(line.split()[:2]) for line in lines}
 
 
 def test_scale_probe_times_every_stage() -> None:
-    out = _run("scale_probe.py", "--workload", "long-repeat", "--scale", "1", "--passes", "1")
-    table = out.splitlines()[2:]  # after the summary line and the column heads
-    assert _stages(table) == STAGES
+    done = _probe("--workload", "long-repeat", "--scale", "1", "--passes", "1")
+    assert done.returncode == 0, done.stderr
+    head, table = done.stdout.split("\nchain ", 1)
+    live, _, summary = head.rpartition("\n\n")
+    assert "3 set-ups and 1 passes" in summary and "checks failed: 0" in summary
+    # each live step line names its phase, chain and stage, and the mark it rose to
+    for line in live.splitlines():
+        phase, chain, stage, mark, kb, *_ = line.split()
+        assert phase in ("setup", "pass") and (chain, stage) in STAGES and kb == "kB", line
+    rows = [line.split() for line in table.splitlines()[1:]]
+    assert {tuple(row[:2]) for row in rows} == STAGES and len(rows) == len(STAGES)
+    for row in rows:
+        # median s, cpu s, maxrss MB, then the set-up and pass steps and their kB
+        assert len(row) == 9 and all(value.isdigit() for value in row[5:]), row
 
 
-def test_stage_rss_lists_every_stage_in_both_phases() -> None:
-    out = _run("stage_rss.py", "--workload", "long-repeat", "--passes", "1")
-    setup, passes = out.split("\nsetup: ", 1)[1].split("\npass: ", 1)
-    for summary in (setup, passes):
-        assert _stages(line for line in summary.splitlines() if line.startswith("  ")) == STAGES
+def test_scale_probe_refuses_zero_passes() -> None:
+    done = _probe("--workload", "long-repeat", "--scale", "1", "--passes", "0")
+    assert done.returncode != 0
+    assert "--passes" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
+def _runs(runs: Path, name: str, values: list[float]) -> None:
+    metric = bench_pairs.BENCHMARK["end_to_end"][0]["name"]
+    (runs / name).write_text("".join(
+        json.dumps({"correct": True, "metrics": {
+            m["name"]: {"value": value if m["name"] == metric else 1.0}
+            for m in bench_pairs.BENCHMARK["end_to_end"]}}) + "\n" for value in values))
+
+
+def test_bench_pairs_summarize(tmp_path) -> None:
+    metric = bench_pairs.BENCHMARK["end_to_end"][0]
+    higher = metric["better"] == "higher"
+    _runs(tmp_path, "long-repeat-s1.parent.jsonl", [10.0, 20.0, 30.0])
+    # the change wins pair 0, ties pair 1 and loses pair 2, whichever way is better
+    change = [11.0, 20.0, 25.0] if higher else [9.0, 20.0, 35.0]
+    _runs(tmp_path, "long-repeat-s1.change.jsonl", change)
+    _runs(tmp_path, "long-repeat-s3.parent.jsonl", [4.0])
+    _runs(tmp_path, "long-repeat-s3.change.jsonl", [5.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["summarize", "--runs", str(tmp_path), "--out", str(out),
+                             "--parent-commit", "abc1234"]) == 0
+    summary = json.loads(out.read_text())
+    main = summary["workloads"]["long-repeat"]
+    assert main["seed"] == 1 and main["pairs"] == 3 and main["all_checks_correct"]
+    found = main["metrics"][metric["name"]]
+    assert found["parent"] == {"median": 20.0, "q1": 10.0, "q3": 30.0, "runs": [10, 20, 30]}
+    assert found["change"] == {"median": 20.0, "q1": change[0], "q3": change[2], "runs": change}
+    assert (found["change_better_pairs"], found["tied_pairs"]) == (1, 1)
+    assert found["median_ratio"] == 1.0
+    held = summary["held_out"]["long-repeat-s3"]
+    assert held["seed"] == 3 and held["pairs"] == 1
+    assert held["metrics"][metric["name"]]["median_ratio"] == 1.25
+
+
+def test_bench_pairs_summarize_refuses_unpaired_runs(tmp_path) -> None:
+    _runs(tmp_path, "long-repeat-s1.parent.jsonl", [10.0, 20.0])
+    _runs(tmp_path, "long-repeat-s1.change.jsonl", [10.0])
+    with pytest.raises(ValueError, match="2 parent runs against 1 change runs"):
+        bench_pairs.main(["summarize", "--runs", str(tmp_path), "--out",
+                          str(tmp_path / "BENCH.json"), "--parent-commit", "abc1234"])
