@@ -26,20 +26,33 @@ def _probe(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_scale_probe_times_every_stage() -> None:
+def _probe_smallest() -> tuple[str, list[list[str]]]:
+    """The live step lines and the split table rows of one probe pass on long-repeat x1."""
     done = _probe("--workload", "long-repeat", "--scale", "1", "--passes", "1")
     assert done.returncode == 0, done.stderr
     head, table = done.stdout.split("\nchain ", 1)
     live, _, summary = head.rpartition("\n\n")
     assert "3 set-ups and 1 passes" in summary and "checks failed: 0" in summary
+    return live, [line.split() for line in table.splitlines()[1:]]
+
+
+def test_scale_probe_times_every_stage() -> None:
+    _, rows = _probe_smallest()
+    assert {tuple(row[:2]) for row in rows} == STAGES and len(rows) == len(STAGES)
+    for row in rows:
+        # median s, cpu s, maxrss MB, then the set-up and pass steps and their kB
+        assert len(row) == 9 and all(float(value) >= 0 for value in row[2:5]), row
+
+
+def test_stage_rss_lists_every_stage_in_both_phases() -> None:
+    live, rows = _probe_smallest()
     # each live step line names its phase, chain and stage, and the mark it rose to
     for line in live.splitlines():
         phase, chain, stage, mark, kb, *_ = line.split()
         assert phase in ("setup", "pass") and (chain, stage) in STAGES and kb == "kB", line
-    rows = [line.split() for line in table.splitlines()[1:]]
-    assert {tuple(row[:2]) for row in rows} == STAGES and len(rows) == len(STAGES)
+    # every stage has a step count and kB for the set-ups and for the passes
+    assert {tuple(row[:2]) for row in rows} == STAGES
     for row in rows:
-        # median s, cpu s, maxrss MB, then the set-up and pass steps and their kB
         assert len(row) == 9 and all(value.isdigit() for value in row[5:]), row
 
 
