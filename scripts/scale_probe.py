@@ -31,6 +31,13 @@ The line above it gives the post-import baseline and the peak above it,
 which is what `peak_rss_mb` reads. The probe and the labeler child it
 starts run on one core, as `perfbench/run.py` pins them.
 
+After the timed passes, one more untimed pass of each chain runs under
+`tracemalloc`, and the table's last column gives each stage's traced
+peak: the most memory Python and numpy held at once during the stage,
+above what they held when it began (the labeler child's is not traced).
+Unlike `ru_maxrss`, it does not move with the process's memory layout,
+so two trees' readings of one stage can be compared byte for byte.
+
 On a shared host wall time can swing by 2x from one minute to the next.
 CPU time leaves out the time the probe waits for its core, but it still
 moves when a neighbour slows the core itself. To compare two trees, run
@@ -51,6 +58,7 @@ import shutil
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -64,7 +72,8 @@ class _Stage:
 
     seconds: list = dataclasses.field(default_factory=list)  # wall s of each pass-phase run
     cpu: list = dataclasses.field(default_factory=list)  # CPU s of each pass-phase run
-    maxrss: int = 0  # ru_maxrss after its last run, kB
+    maxrss: int = 0  # ru_maxrss after its last timed or set-up run, kB
+    traced: int = 0  # traced peak of its runs in the traced pass, kB
     steps: dict = dataclasses.field(  # phase -> each rise of ru_maxrss, kB
         default_factory=lambda: {phase: [] for phase in PHASES})
 
@@ -123,6 +132,15 @@ def main(argv=None) -> int:
 
     def measured(name_of, call):
         def wrapper(*argv, **kwargs):
+            if where["phase"] == "traced":
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                try:
+                    return call(*argv, **kwargs)
+                finally:
+                    stage = stages[where["chain"], name_of(argv)]
+                    stage.traced = max(stage.traced,
+                                       (tracemalloc.get_traced_memory()[1] - held) // 1024)
             before, modules = _maxrss_kb(), set(sys.modules)
             t, c = perf_counter(), _cpu_s()
             try:
@@ -166,22 +184,31 @@ def main(argv=None) -> int:
         for _ in range(args.passes):
             bench.run("train", root, work)
             bench.run("infer", root, work)
+        peak = _maxrss_kb()  # tracing costs memory of its own
+        where["phase"] = "traced"
+        tracemalloc.start()
+        try:
+            bench.run("train", root, work)
+            bench.run("infer", root, work)
+        finally:
+            tracemalloc.stop()
     finally:
         shutil.rmtree(base, ignore_errors=True)
 
-    peak = _maxrss_kb()
     print(f"\n{args.workload} x{args.scale} seed {args.seed}, vocab_size "
           f"{workloads.SHAPES[args.workload].vocab_size}: {work.train.lines} train and "
-          f"{work.held.lines} held lines, {run.SETUPS} set-ups and {args.passes} passes; "
+          f"{work.held.lines} held lines, {run.SETUPS} set-ups and {args.passes} passes, "
+          f"then one traced pass; "
           f"baseline {baseline} kB after import, peak {peak} kB (+{peak - baseline} kB, "
           f"{(peak - baseline) / 1024:.2f} MB); checks failed: {bench.failed}")
     print(f"{'chain':5} {'stage':10} {'median s':>9} {'cpu s':>9} {'maxrss MB':>10} "
-          f"{'setup steps':>11} {'kB':>6} {'pass steps':>10} {'kB':>6}")
+          f"{'setup steps':>11} {'kB':>6} {'pass steps':>10} {'kB':>6} {'traced kB':>9}")
     for (chain_name, name), stage in stages.items():
         setup, passes = (stage.steps[phase] for phase in PHASES)
         print(f"{chain_name:5} {name:10} {statistics.median(stage.seconds):9.3f} "
               f"{statistics.median(stage.cpu):9.3f} {stage.maxrss / 1024:10.1f} "
-              f"{len(setup):11d} {sum(setup):6d} {len(passes):10d} {sum(passes):6d}")
+              f"{len(setup):11d} {sum(setup):6d} {len(passes):10d} {sum(passes):6d} "
+              f"{stage.traced:9d}")
     return 1 if bench.failed else 0
 
 

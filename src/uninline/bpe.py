@@ -7,24 +7,25 @@ vocabulary limit is reached or no pair occurs min_frequency times.
 Pair frequencies count every adjacent position; application is
 left-to-right non-overlapping.
 
-Training never recounts. The documents are laid on one token stream
-and its byte pairs are counted once, both as array operations, and a
-merge adjusts the counts of the pairs beside each of its sites; a
-max-heap of (count, pair), checked against the true count when popped,
-picks the next merge. A merge only creates pairs that hold its new id,
-so every other pair only loses sites: a pair below min_frequency can
-never be merged, and is dropped the moment it falls there. Byte pairs
-keep no positions: a position that still holds a byte never absorbed
-its right neighbour, so one array scan for the two bytes side by side
-finds the live sites of a byte pair when it is merged. A pair born
-from a merge keeps the ascending array of its positions. A merge with
-few sites visits them one by one; one with many is applied as array
-operations (stale sites and every other site of an overlapping chain
-dropped, lost pairs tallied per pair, born pairs read off the merged
-stream and grouped by a stable sort), which give the same stream and
-counts. The merges, their order and their tie-breaks equal those of
-recounting every pair for each merge, which `tests/test_bpe.py` keeps
-as the oracle.
+Training never recounts. The documents are laid on one token stream,
+the trainer's only state per byte (an int32: a token's first position
+holds its id, and its last a back-pointer to the first), and its byte
+pairs are counted once, both as array operations; a merge adjusts the
+counts of the pairs beside each of its sites. A max-heap of (count,
+pair), checked against the true count when popped, picks the next
+merge. A merge only creates pairs that hold its new id, so every other
+pair only loses sites: a pair below min_frequency can never be merged,
+and is dropped the moment it falls there. Byte pairs keep no positions:
+a position that still holds a byte never absorbed its right neighbour,
+so one array scan for the two bytes side by side finds the live sites
+of a byte pair when it is merged. A pair born from a merge keeps the
+ascending array of its positions. A merge with few sites visits them
+one by one; one with many is applied as array operations (stale sites
+and every other site of an overlapping chain dropped, lost pairs
+tallied per pair, born pairs read beside the sites and grouped by a
+stable sort), which give the same stream and counts. The merges,
+their order and their tie-breaks equal those of recounting every pair
+for each merge, which `tests/test_bpe.py` keeps as the oracle.
 
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
@@ -176,21 +177,28 @@ def train_bpe(
     """Learn merges over the documents until the size limit or frequency floor.
 
     All documents of two or more bytes form one token stream, each
-    preceded and followed by -1, which is in no pair. The stream is
-    allocated once at its final length and each document is copied in
-    through a numpy view of it; byte pairs are counted from that view,
-    a bounded chunk at a time. Tokens are linked by `nxt`/`prv`; a
-    position merged into its left neighbour holds -2. Every pair at or
-    above the floor keeps its count, and a heap holds (-count, pair).
-    A pair that holds a merged id also keeps the ascending array of its
-    left positions; a byte pair's are found by a scan when it is merged.
+    preceded and followed by -1, which is in no pair. It is one int32
+    array, allocated once at its final length if int32 addresses that;
+    each document is copied in through a numpy view of it, and byte
+    pairs are counted from that view, a bounded chunk at a time. A
+    token's first position holds its id and, if the token is longer
+    than one byte, its last holds -3 - first; those between hold -2 or a
+    stale back-pointer, never read. So a token's right neighbour starts
+    `width[id]` positions on, and the position before it holds -1, a
+    byte or a back-pointer. Every pair at or above the floor keeps its
+    count, and a heap holds (-count, pair). A pair that holds a merged
+    id also keeps the ascending array of its left positions; a byte
+    pair's are found by a scan when it is merged.
     """
     if vocab_size <= BASE_TOKENS:
         raise ValueError(f"vocab_size must exceed {BASE_TOKENS}")
     if min_frequency < 1:
         raise ValueError("min_frequency must be at least 1")
     docs = [raw for raw in map(_to_bytes, corpus) if len(raw) >= 2]
-    toks = array("i", [-1]) * (1 + sum(map(len, docs)) + len(docs))
+    n = 1 + sum(map(len, docs)) + len(docs)
+    if n > _MAX_STREAM:
+        raise ValueError(f"{n - 1 - len(docs)} bytes of training text overflow the int32 stream")
+    toks = array("i", [-1]) * n
     T = np.frombuffer(toks, dtype=np.intc)
     start = 1
     for raw in docs:
@@ -200,7 +208,7 @@ def train_bpe(
     if len(toks) == 1:
         log.warning("empty corpus; vocabulary holds only the %d base byte tokens", BASE_TOKENS)
     counts = _byte_pair_counts(T, min_frequency)
-    nxt, prv = _links(len(toks))
+    width = [1] * BASE_TOKENS
     sites: dict[tuple[int, int], array] = {}
     heap = [(-count, pair) for pair, count in counts.items()]
     heapify(heap)
@@ -216,18 +224,22 @@ def train_bpe(
             continue
         new = BASE_TOKENS + len(merges)
         merges.append(pair)
+        width.append(width[pair[0]] + width[pair[1]])
         del counts[pair]
         at = sites.pop(pair, None)
         if at is None:  # a byte pair: a position holding a byte never absorbed its right neighbour
             at = _byte_pair_sites(T, *pair)
         apply = _merge_loop if len(at) < _ARRAY_MERGE_SITES else _merge_array
         # a new pair only loses sites after this merge: below the floor now, never merged
-        for born, live in apply(toks, nxt, prv, at, pair, new, counts, sites, min_frequency):
+        for born, live in apply(toks, width, at, pair, new, counts, sites, min_frequency):
             counts[born] = len(live)
             sites[born] = live
             heappush(heap, (-len(live), born))
     return BpeVocab(tuple(merges), vocab_size_limit=vocab_size, min_frequency=min_frequency)
 
+
+# Each position, and each back-pointer -3 - start (start <= length - 3), fits int32
+_MAX_STREAM = 2**31
 
 # A merge with at least this many sites is applied as array operations; one
 # numpy step costs about as much as the loop over this many sites
@@ -246,39 +258,38 @@ def _lose(counts, sites, lost, by: int, floor: int) -> None:
         sites.pop(lost, None)
 
 
-def _merge_loop(toks: array, nxt: array, prv: array, at, pair, new: int, counts, sites,
-                floor: int):
+def _merge_loop(toks: array, width: list[int], at, pair, new: int, counts, sites, floor: int):
     """Merge `pair` into `new` at each live site of `at`, left to right.
 
     Adjusts the counts of the pairs beside each site and returns the
     pairs born with `new` that reach the floor, with their live sites.
     """
     a, b = pair
+    wa, wb = width[a], width[b]
     born: dict[tuple[int, int], list[int]] = {}
     for i in at.tolist() if isinstance(at, np.ndarray) else at:
-        j = nxt[i]
+        j = i + wa
         if toks[i] != a or toks[j] != b:
             continue  # an earlier merge, or site of this one, took a token of it
-        p, k = prv[i], nxt[j]
+        p = i - 1 if toks[i - 1] > -2 else -3 - toks[i - 1]  # a longer token's back-pointer
+        k = j + wb
         left, right = toks[p], toks[k]
         _lose(counts, sites, (left, a), 1, floor)
         _lose(counts, sites, (b, right), 1, floor)
-        toks[i], toks[j] = new, -2
-        nxt[i], prv[k] = k, i
+        toks[i], toks[j], toks[k - 1] = new, -2, -3 - i  # j is k - 1 when b is a byte
         if left >= 0:
             born.setdefault((left, new), []).append(p)
         if right >= 0:
             born.setdefault((new, right), []).append(i)
     out = []
     for (x, y), candidates in born.items():
-        live = array("i", [q for q in candidates if toks[q] == x and toks[nxt[q]] == y])
+        live = array("i", [q for q in candidates if toks[q] == x and toks[q + width[x]] == y])
         if len(live) >= floor:
             out.append(((x, y), live))
     return out
 
 
-def _merge_array(toks: array, nxt: array, prv: array, at, pair, new: int, counts, sites,
-                 floor: int):
+def _merge_array(toks: array, width: list[int], at, pair, new: int, counts, sites, floor: int):
     """`_merge_loop` as one numpy step over the ascending sites `at`.
 
     Stale sites are dropped, and in a chain of overlapping sites of a
@@ -286,15 +297,15 @@ def _merge_array(toks: array, nxt: array, prv: array, at, pair, new: int, counts
     them. A site whose left neighbour the previous site merged has
     `new` on its left and loses no pair there; the pair it would lose
     is the previous site's right one. Lost pairs are tallied per pair.
-    Born pairs are read off the merged stream: the left and right
-    neighbours of each `new`, with (new, new) taken from the right.
+    Every other site's left neighbour is untouched by the merge, so the
+    pairs born there hold the ids that lost theirs. Those on the right
+    are read off the merged stream, with (new, new) among them.
     """
-    T, N, P = (np.frombuffer(x, dtype=np.intc) for x in (toks, nxt, prv))
+    T = np.frombuffer(toks, dtype=np.intc)
     a, b = pair
     at = np.asarray(at)
-    right = N[at]
-    live = (T[at] == a) & (T[right] == b)
-    at, right = at[live], right[live]
+    at = at[(T[at] == a) & (T[at + width[a]] == b)]
+    right = at + width[a]
     if a == b:
         idx = np.arange(len(at))
         chained = np.zeros(len(at), dtype=bool)
@@ -302,22 +313,21 @@ def _merge_array(toks: array, nxt: array, prv: array, at, pair, new: int, counts
         first = np.maximum.accumulate(np.where(chained, 0, idx))
         keep = (idx - first) % 2 == 0
         at, right = at[keep], right[keep]
-    after = N[right]
-    before = P[at]
+    after = right + width[b]
+    end = T[at - 1]  # the left neighbour's back-pointer, a byte's id or the separator
+    before = np.where(end < -1, -3 - end, at - 1)
     fresh = np.ones(len(at), dtype=bool)
     fresh[1:] = before[1:] != right[:-1]
-    for x, by in _tally(T[before[fresh]]):
+    before = before[fresh]
+    left = T[before]
+    for x, by in _tally(left):
         _lose(counts, sites, (x, a), by, floor)
     for y, by in _tally(T[after]):
         _lose(counts, sites, (b, y), by, floor)
     T[at] = new
     T[right] = -2
-    N[at] = after
-    P[after] = at
-    before = P[at]
-    left = T[before]
-    other = left != new
-    out = [((x, new), live) for x, live in _group(left[other], before[other], floor)]
+    T[after - 1] = -3 - at
+    out = [((x, new), live) for x, live in _group(left, before, floor)]
     out += [((new, y), live) for y, live in _group(T[after], at, floor)]
     return out
 
@@ -357,25 +367,9 @@ def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, ar
             for x, n, end in zip(hit.tolist(), sizes, accumulate(sizes))]
 
 
-# Byte pairs are counted and the links filled this many stream positions
-# at a time, so the temporaries stay small whatever the corpus size
+# Byte pairs are counted this many stream positions at a time, so the
+# temporaries stay small whatever the corpus size
 _PAIR_CHUNK = 1 << 13
-
-
-def _links(n: int) -> tuple[array, array]:
-    """The links of an unmerged stream of n tokens: nxt = 1..n, prv = -1..n - 2.
-
-    Each is allocated once and filled through a numpy view a chunk at a
-    time, with the kernels the trainer uses anyway: a cumulative sum or
-    a full-size range would page in memory a small corpus never needs.
-    """
-    nxt, prv = array("i", [0]) * n, array("i", [0]) * n
-    N, P = np.frombuffer(nxt, dtype=np.intc), np.frombuffer(prv, dtype=np.intc)
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        N[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.intc)
-        P[lo:hi] = np.arange(lo - 1, hi - 1, dtype=np.intc)
-    return nxt, prv
 
 
 # Byte-pair sites are found this many stream positions at a time, each step
@@ -409,7 +403,7 @@ def _byte_pair_counts(T: np.ndarray, floor: int) -> dict[tuple[int, int], int]:
     byte_of = np.flatnonzero(seen)
     m = len(byte_of)
     width = m + 1
-    code = np.full(BASE_TOKENS + 1, m, dtype=np.intp)  # T's -1 reads the last entry
+    code = np.full(BASE_TOKENS + 1, m, dtype=np.intc)  # T's -1 reads the last entry
     code[byte_of] = np.arange(m)
     tally = np.zeros(width * width, dtype=np.intp)
     for lo in range(0, len(T) - 1, _PAIR_CHUNK):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from array import array
 from collections import Counter
 from unittest import mock
@@ -302,6 +303,27 @@ def test_train_matches_loop_oracle_over_a_thousand_merges() -> None:
     assert vocab.merges == _loop_merges(corpus, 1400, 1)
 
 
+# The traced peak of training on the 100,560 bytes below, per byte: 17.5
+# with the nxt/prv link arrays the trainer once kept beside its token
+# stream, 9.5 with the stream alone, whose 4 bytes a position are the most
+# of it. The peak falls in a merge, so counting byte pairs with
+# pointer-wide codes instead of int32 ones reads 9.4 here too
+_TRACED_BYTES_PER_BYTE = 12
+
+
+def test_training_traces_a_bounded_peak_per_input_byte() -> None:
+    corpus = _identifier_corpus(3, docs=100, lines=50)
+    size = sum(len(doc.encode()) for doc in corpus)
+    assert size >= 100_000
+    tracemalloc.start()
+    try:
+        train_bpe(corpus, vocab_size=300, min_frequency=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / size < _TRACED_BYTES_PER_BYTE
+
+
 def test_merge_sequence_matches_naive_oracle() -> None:
     vocab = train_bpe(FIXTURE, vocab_size=280, min_frequency=2)
     assert vocab.merges == tuple(_oracle_merges(FIXTURE, 280, 2))
@@ -550,14 +572,6 @@ def test_byte_pair_sites_match_one_scan(ids, pair, chunk) -> None:
     assert sites.tolist() == np.flatnonzero((T[:-1] == a) & (T[1:] == b)).tolist()
 
 
-@pytest.mark.parametrize("chunk", [1, 3, bpe._PAIR_CHUNK])
-def test_links_fill_every_chunk(chunk) -> None:
-    with mock.patch.object(bpe, "_PAIR_CHUNK", chunk):
-        for n in range(1, 12):
-            nxt, prv = bpe._links(n)
-            assert (nxt.tolist(), prv.tolist()) == (list(range(1, n + 1)), list(range(-1, n - 1)))
-
-
 def _encode_in_threads(encode_run) -> None:
     """Run `encode_run(vocab, texts)` over four runs of windows on one
     vocab object, a thread each, with switches forced often."""
@@ -666,6 +680,27 @@ def test_invalid_parameters_refused() -> None:
         decode(BpeVocab(()), [4000])
     with pytest.raises(ValueError):
         decode(BpeVocab(()), [-1])
+
+
+class _HugeDocument(bytes):
+    """Two bytes that report a length of 2**31: the trainer must refuse them
+    before it allocates a stream that long."""
+
+    def __len__(self) -> int:
+        return 2**31
+
+
+def test_training_text_past_the_int32_stream_is_refused() -> None:
+    with pytest.raises(ValueError, match="^2147483648 bytes of training text overflow "):
+        train_bpe([_HugeDocument(b"ab")], vocab_size=300, min_frequency=1)
+
+
+def test_a_stream_at_the_position_limit_is_accepted() -> None:
+    # one separator before each document and one after the last: 1 + 4 + 1 positions
+    with mock.patch.object(bpe, "_MAX_STREAM", 6):
+        assert train_bpe([b"abab"], vocab_size=300, min_frequency=1).merges
+        with pytest.raises(ValueError, match="^5 bytes "):
+            train_bpe([b"ababa"], vocab_size=300, min_frequency=1)
 
 
 @pytest.mark.parametrize("line", [

@@ -277,6 +277,18 @@ def test_fit_alpha_must_be_positive_and_finite(tmp_path, capsys, value) -> None:
     assert not out.exists()
 
 
+def test_bpe_train_refuses_a_stream_past_int32_with_exit_2(tmp_path, capsys,
+                                                           monkeypatch) -> None:
+    text = tmp_path / "body.c"
+    text.write_text("abcdef")
+    vocab = tmp_path / "vocab.txt"
+    monkeypatch.setattr(bpe, "_MAX_STREAM", 7)  # the 6 bytes need 8 positions
+    assert cli.run(["bpe-train", "--out", str(vocab), str(text)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "uninline bpe-train: error: 6 bytes of training text overflow ")
+    assert not vocab.exists()
+
+
 C_SOURCE = """\
 #include <string.h>
 #include <stdio.h>

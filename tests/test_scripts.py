@@ -3,6 +3,7 @@ workload, and the summary that `bench_pairs.py` writes from synthetic run files.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -26,13 +27,16 @@ def _probe(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+@functools.cache
 def _probe_smallest() -> tuple[str, list[list[str]]]:
-    """The live step lines and the split table rows of one probe pass on long-repeat x1."""
+    """The live step lines and the split table rows of one probe pass on long-repeat x1,
+    run once for the tests that read them."""
     done = _probe("--workload", "long-repeat", "--scale", "1", "--passes", "1")
     assert done.returncode == 0, done.stderr
     head, table = done.stdout.split("\nchain ", 1)
     live, _, summary = head.rpartition("\n\n")
-    assert "3 set-ups and 1 passes" in summary and "checks failed: 0" in summary
+    assert "3 set-ups and 1 passes, then one traced pass" in summary
+    assert "checks failed: 0" in summary
     return live, [line.split() for line in table.splitlines()[1:]]
 
 
@@ -40,8 +44,8 @@ def test_scale_probe_times_every_stage() -> None:
     _, rows = _probe_smallest()
     assert {tuple(row[:2]) for row in rows} == STAGES and len(rows) == len(STAGES)
     for row in rows:
-        # median s, cpu s, maxrss MB, then the set-up and pass steps and their kB
-        assert len(row) == 9 and all(float(value) >= 0 for value in row[2:5]), row
+        # median s, cpu s, maxrss MB, the set-up and pass steps and their kB, traced kB
+        assert len(row) == 10 and all(float(value) >= 0 for value in row[2:5]), row
 
 
 def test_stage_rss_lists_every_stage_in_both_phases() -> None:
@@ -53,7 +57,15 @@ def test_stage_rss_lists_every_stage_in_both_phases() -> None:
     # every stage has a step count and kB for the set-ups and for the passes
     assert {tuple(row[:2]) for row in rows} == STAGES
     for row in rows:
-        assert len(row) == 9 and all(value.isdigit() for value in row[5:]), row
+        assert len(row) == 10 and all(value.isdigit() for value in row[5:9]), row
+
+
+def test_scale_probe_traces_every_stage() -> None:
+    _, rows = _probe_smallest()
+    traced = {tuple(row[:2]): row[9] for row in rows}
+    assert traced.keys() == STAGES and all(kb.isdigit() for kb in traced.values()), traced
+    # bpe-train holds its token stream, 4 bytes per byte of training text
+    assert int(traced["train", "bpe-train"]) > 0
 
 
 def test_scale_probe_refuses_zero_passes() -> None:
