@@ -8,17 +8,19 @@
         --parent-commit c7748a5 --claim "infer_lines_per_s on long-repeat"
 
 `run` runs both sides from one directory, because the checkout path
-alone can shift peak RSS by a few percent: it copies
-the change checkout to `<runs>/tree` and each side's `src/` to
-`<runs>/src.<side>`, and before each run moves the running side's copy
-in as `<runs>/tree/src`. Each side's bytecode is written there by its
-first run and kept with its copy. It calls `perfbench/run.py`, with
-the `run_seconds` of BENCHMARK.json, for each side in turn, parent
-first in even pairs and change first in odd ones, and appends the last
-line of its stdout (one JSON object) to
-`<runs>/<workload>-s<seed>.<side>.jsonl`, or to
-`...-s<seed>-trace.<side>.jsonl` with `--trace`. The i-th parent line
-and the i-th change line form pair i.
+alone can shift peak RSS by a few percent: it copies the change
+checkout to `<runs>/tree` and each side's `src/` to `<runs>/src.<side>`,
+and before each run moves the running side's copy in as
+`<runs>/tree/src`. Python writes each side's bytecode there on its
+first run and keeps it with the copy, unless PYTHONDONTWRITEBYTECODE is
+set: then no bytecode is written, every run compiles `uninline` as it
+imports it, and `perfbench/run.py`'s import seconds, part of `setup_s`,
+hold that compile on both sides. It calls `perfbench/run.py`, with the
+`run_seconds` of BENCHMARK.json, for each side in turn, parent first in
+even pairs and change first in odd ones, and appends the last line of
+its stdout (one JSON object) to `<runs>/<workload>-s<seed>.<side>.jsonl`,
+or to `...-s<seed>-trace.<side>.jsonl` with `--trace`. The i-th parent
+line and the i-th change line form pair i.
 
 `summarize` reads those files. For each workload at `--seed` (under
 "workloads") and at any other seed (under "held_out") it gives, per

@@ -291,6 +291,25 @@ def _recv(replies: Iterator[bytes]) -> dict:
     return obj
 
 
+# bytes of request lines written at once: a write per line would wake the
+# labeler for each one, and the two processes would take turns line by line
+_BLOCK = 1 << 16
+
+
+def _blocks(lines: Iterable[bytes], limit: int = _BLOCK) -> Iterator[bytes]:
+    """`lines` joined into blocks of at most `limit` bytes; a longer line is a block alone."""
+    block: list[bytes] = []
+    size = 0
+    for line in lines:
+        if block and size + len(line) > limit:
+            yield b"".join(block)
+            block, size = [], 0
+        block.append(line)
+        size += len(line)
+    if block:
+        yield b"".join(block)
+
+
 def _wait(events: dict[int, int], timeout: float) -> bool:
     """Whether one of `events` (descriptor -> poll mask) comes within `timeout` seconds."""
     poller = select.poll()
@@ -392,8 +411,9 @@ class ExternalModelClient:
             first = self._next_id
             self._next_id += len(windows)
             ids = encode_each(self._vocab, (w.text for w in windows))
-            replies = self._lines(dump_line({"id": rid, "tokens": toks}).encode("utf-8") + b"\n"
-                                  for rid, toks in enumerate(ids, first))
+            replies = self._lines(_blocks(
+                dump_line({"id": rid, "tokens": toks}).encode("utf-8") + b"\n"
+                for rid, toks in enumerate(ids, first)))
             for rid in range(first, self._next_id):
                 reply = _recv(replies)
                 if check("id", reply.get("id"), INTEGER) != rid:

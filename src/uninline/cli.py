@@ -23,6 +23,7 @@ import math
 import os
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -119,36 +120,47 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_reconcile(args) -> int:
+    """Label each body as it streams in, in id order, and write it.
+
+    Each body's id and label names are kept for `--truth-out` and
+    `--recovered-out`, which are written last.
+    """
     targets = corpus.load_targets(args.targets)
-    records = sorted(corpus.read_functions(args.functions), key=lambda r: r.id)
-    labeled = [markers.reconcile_function(rec, targets) for rec in records]
-    corpus.write_functions(args.out, labeled)
+    kept = []  # (id, residual marker names, recovered call names) of each labeled body
+
+    def labeled():
+        for rec in corpus.iter_functions_by_id(args.functions):
+            out = markers.reconcile_function(rec, targets)
+            kept.append((out.id, tuple(name for name, _ in out.true_labels), out.recovered))
+            yield out
+
+    corpus.write_functions(args.out, labeled())
     outputs = [args.out]
-    for path, counts in ((args.truth_out, "true_counts"),
-                         (args.recovered_out, "recovered_counts")):
+    for path, side in ((args.truth_out, 1), (args.recovered_out, 2)):
         if path:
             combine.write_recoveries(path, (
-                combine.FunctionRecovery(
-                    r.id, combine.RecoveryMultiset(getattr(r, counts)), args.optlevel)
-                for r in labeled))
+                combine.FunctionRecovery(body[0], combine.RecoveryMultiset(Counter(body[side])),
+                                         args.optlevel)
+                for body in kept))
             outputs.append(path)
     _record_run("reconcile", args, [args.functions, args.targets], outputs)
-    residual = sum(len(r.true_labels) for r in labeled)
-    recovered = sum(len(r.recovered) for r in labeled)
-    print(f"{len(labeled)} functions: {residual} inlined markers kept, {recovered} plain calls")
+    residual = sum(len(names) for _, names, _ in kept)
+    recovered = sum(len(names) for _, _, names in kept)
+    print(f"{len(kept)} functions: {residual} inlined markers kept, {recovered} plain calls")
     return 0
 
 
 def _iter_bpe_documents(paths: Sequence[str], as_functions: bool):
     for path in paths:
         if as_functions:
-            for rec in corpus.read_functions(path):
-                yield "\n".join(rec.lines)
+            for rec in corpus.iter_functions(path):
+                yield rec.text or ""
         else:
             yield Path(path).read_text(encoding="utf-8", errors="surrogateescape")
 
 
 def _cmd_bpe_train(args) -> int:
+    """Train on the inputs' texts; function records stream in a few at a time."""
     vocab = bpe.train_bpe(
         _iter_bpe_documents(args.inputs, args.functions),
         vocab_size=args.vocab_size,
@@ -161,15 +173,20 @@ def _cmd_bpe_train(args) -> int:
 
 
 def _cmd_windows(args) -> int:
+    """Scan each body as it streams in, in id order, and write its windows."""
     spec = windows.WindowSpec(height=args.window_height, stride=args.stride)
-    records = sorted(corpus.read_functions(args.functions), key=lambda r: r.id)
-    out = []
-    for rec in records:
-        out.extend(windows.scan_windows(rec, spec))
-    count = windows.write_windows(args.out, out)
+    counts = Counter()
+
+    def scanned():
+        for rec in corpus.iter_functions_by_id(args.functions):
+            counts["functions"] += 1
+            for w in windows.scan_windows(rec, spec):
+                counts["labeled"] += w.label != windows.EMPTY
+                yield w
+
+    count = windows.write_windows(args.out, scanned())
     _record_run("windows", args, [args.functions], [args.out])
-    labeled = sum(1 for w in out if w.label != windows.EMPTY)
-    print(f"{count} windows from {len(records)} functions ({labeled} labeled)")
+    print(f"{count} windows from {counts['functions']} functions ({counts['labeled']} labeled)")
     return 0
 
 
@@ -313,23 +330,17 @@ def _cmd_score(args) -> int:
         evaluate.write_report(args.report, report)
         outputs.append(args.report)
     if args.per_name_out:
-        rows = []
-        for name, c in sorted(report.by_name.items()):
-            rows.append(
-                {
-                    "name": name,
-                    "tp": c.tp,
-                    "fp": c.fp,
-                    "fn": c.fn,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                }
-            )
-        write_jsonl(args.per_name_out, rows)
+        write_jsonl(args.per_name_out, sorted(report.by_name.items()), _per_name_json)
         outputs.append(args.per_name_out)
     _record_run("score", args, [args.pred, args.truth], outputs)
     return 0
+
+
+def _per_name_json(item: tuple[str, evaluate.EvalCounts]) -> dict:
+    """A `score --per-name-out` record: a name's counts and ratios."""
+    name, c = item
+    return {"name": name, "tp": c.tp, "fp": c.fp, "fn": c.fn,
+            "precision": c.precision, "recall": c.recall, "f1": c.f1}
 
 
 # precision, recall and f1 are ratios; a huge finite value would overflow the correlation

@@ -140,4 +140,4 @@ def read_label_sequences(path) -> list[LabelSequence]:
 
 
 def write_label_sequences(path, sequences: Iterable[LabelSequence]) -> int:
-    return write_jsonl(path, (s.as_json() for s in sequences))
+    return write_jsonl(path, sequences, LabelSequence.as_json)

@@ -91,7 +91,7 @@ def read_recoveries(path) -> list[FunctionRecovery]:
 
 
 def write_recoveries(path, records: Iterable[FunctionRecovery]) -> int:
-    return write_jsonl(path, (r.as_json() for r in records))
+    return write_jsonl(path, records, FunctionRecovery.as_json)
 
 
 def combine_recoveries(

@@ -4,8 +4,11 @@ Decompiled files are carved into per-function records by brace matching
 from a signature-shaped header line (`split_functions`, the `uninline
 split` stage); decompiler output is syntactically regular enough that
 this is reliable. The matching runs on `ctext` code views, and walks
-only the parens and braces that regular expressions find. All types
-here are immutable after construction and safe to share across threads.
+only the parens and braces that regular expressions find. A body is
+held as one string, its lines joined with newlines; a function record
+stores its lines as a list, and `DecompiledFunction.from_json` and
+`as_json` convert at that edge. All types here are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import enum
 import logging
 import re
 import reprlib
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ctext
 from . import jsonl
@@ -82,8 +86,13 @@ class FunctionId(NamedTuple):
         if not isinstance(obj, (list, tuple)) or len(obj) != 3:
             raise ValueError(f"function id must be [path, name, ordinal], not {obj!r}")
         path, name, ordinal = obj
-        return cls(check("path", path, STRING), check("name", name, STRING),
-                   check("ordinal", ordinal, INTEGER))
+        # the checks run only to name what is wrong: an id is decoded twice per record
+        # read in id order, so the common case costs three type tests
+        if not (type(path) is str and type(name) is str and type(ordinal) is int):
+            check("path", path, STRING), check("name", name, STRING)
+            check("ordinal", ordinal, INTEGER)
+        # interned: the ids of one file's bodies, held together, share one path string
+        return cls(sys.intern(path), name, ordinal)
 
 
 _LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
@@ -91,9 +100,36 @@ _LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
     "a list of [name, line] pairs")
 
 
-@dataclass(frozen=True)
+def _join_lines(lines: Sequence[str]) -> str | None:
+    """The lines of a body joined with newlines, or None for no lines.
+
+    `lines` must be a list or tuple of strings none of which holds a
+    newline, so that splitting the text gives them back; otherwise a
+    ValueError names field 'lines'. The join is the type check.
+    """
+    if type(lines) in (list, tuple):
+        if not lines:
+            return None
+        try:
+            text = "\n".join(lines)
+        except TypeError:  # a line that is no string
+            pass
+        else:
+            if text.count("\n") == len(lines) - 1:  # so no line held a newline
+                return text
+    raise ValueError(f"field 'lines' must be a list of strings without line breaks, "
+                     f"not {reprlib.repr(lines)}")
+
+
+@dataclass(frozen=True, init=False)
 class DecompiledFunction:
-    """One decompiled function body: ordered lines plus ground truth.
+    """One decompiled function body: its text plus ground truth.
+
+    The body is held as `text`, its lines joined with newlines, as a
+    window holds its own; a body of no lines has text None, so `()` and
+    `("",)` stay apart. `lines` splits it again, so a consumer splits a
+    body once and keeps the tuple. The constructor takes the lines;
+    `from_text` takes the text.
 
     `true_labels` holds residual markers as (function name, anchor line)
     pairs; `recovered` is the multiset of target-function calls the
@@ -101,19 +137,43 @@ class DecompiledFunction:
     """
 
     id: FunctionId
-    lines: tuple[str, ...]
+    text: str | None
     true_labels: tuple[tuple[str, int], ...] = ()
     recovered: tuple[str, ...] = ()
     truncated: bool = False
 
-    def __post_init__(self):
-        for name, anchor in self.true_labels:
-            if not 0 <= anchor < len(self.lines):
-                raise ValueError(
-                    f"{self.id}: label anchor {anchor} outside body of {len(self.lines)} lines"
-                )
-            if not name:
-                raise ValueError(f"{self.id}: empty label name")
+    def __init__(self, id: FunctionId, lines: Sequence[str],
+                 true_labels: tuple[tuple[str, int], ...] = (),
+                 recovered: tuple[str, ...] = (), truncated: bool = False):
+        self._fill(id, _join_lines(lines), true_labels, recovered, truncated)
+
+    @classmethod
+    def from_text(cls, id: FunctionId, text: str | None,
+                  true_labels: tuple[tuple[str, int], ...] = (),
+                  recovered: tuple[str, ...] = (), truncated: bool = False
+                  ) -> "DecompiledFunction":
+        """A body given as its text: its lines joined with newlines, or None for none."""
+        body = cls.__new__(cls)
+        body._fill(id, text, true_labels, recovered, truncated)
+        return body
+
+    def _fill(self, id, text, true_labels, recovered, truncated) -> None:
+        # frozen: each field is set once, past the dataclass's __setattr__
+        self.__dict__.update(id=id, text=text, true_labels=true_labels, recovered=recovered,
+                             truncated=truncated)
+        if true_labels:
+            length = 0 if text is None else text.count("\n") + 1
+            for name, anchor in true_labels:
+                if not 0 <= anchor < length:
+                    raise ValueError(
+                        f"{id}: label anchor {anchor} outside body of {length} lines"
+                    )
+                if not name:
+                    raise ValueError(f"{id}: empty label name")
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return () if self.text is None else tuple(self.text.split("\n"))
 
     @property
     def recovered_counts(self) -> Counter:
@@ -126,7 +186,7 @@ class DecompiledFunction:
     def as_json(self) -> dict:
         obj = {
             "id": self.id.as_json(),
-            "lines": list(self.lines),
+            "lines": [] if self.text is None else self.text.split("\n"),
             "true_labels": [[name, anchor] for name, anchor in self.true_labels],
             "recovered": list(self.recovered),
         }
@@ -138,19 +198,34 @@ class DecompiledFunction:
     def from_json(cls, obj: dict) -> "DecompiledFunction":
         return cls(
             id=FunctionId.from_json(obj["id"]),
-            lines=tuple(jsonl.field(obj, "lines", STRINGS)),
+            lines=obj["lines"],
             true_labels=tuple(map(tuple, jsonl.field(obj, "true_labels", _LABEL_PAIRS))),
             recovered=tuple(sorted(jsonl.field(obj, "recovered", STRINGS))),
             truncated=check("truncated", obj.get("truncated", False), BOOL),
         )
 
 
+def iter_functions(path: str | Path) -> Iterator[DecompiledFunction]:
+    """The function records of `path`, decoded one at a time; a repeated id is refused."""
+    return jsonl.iter_records(path, DecompiledFunction.from_json, key="id")
+
+
+def iter_functions_by_id(path: str | Path) -> Iterator[DecompiledFunction]:
+    """The function records of `path` in id order, decoded a few at a time.
+
+    Only the ids are held, so a file need not be in id order: `split`
+    writes each file's bodies as they come, not sorted by name.
+    """
+    return jsonl.iter_records_by_key(path, DecompiledFunction.from_json, "id",
+                                     FunctionId.from_json)
+
+
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
-    return jsonl.read_records(path, DecompiledFunction.from_json, key="id")
+    return list(iter_functions(path))
 
 
 def write_functions(path: str | Path, functions: Iterable[DecompiledFunction]) -> int:
-    return jsonl.write_jsonl(path, (fn.as_json() for fn in functions))
+    return jsonl.write_jsonl(path, functions, DecompiledFunction.as_json)
 
 
 # correlate takes a frequency as a float, which holds every count up to 2**53 exactly
@@ -357,9 +432,9 @@ def split_functions(file: SourceFile) -> list[DecompiledFunction]:
             log.warning("%s: unbalanced braces in %s; truncated at end of file", file.path, name)
             close = len(lines) - 1
         functions.append(
-            DecompiledFunction(
-                id=FunctionId(file.path, name, len(functions)),
-                lines=tuple(lines[i : close + 1]),
+            DecompiledFunction.from_text(
+                FunctionId(file.path, name, len(functions)),
+                "\n".join(lines[i : close + 1]),
                 truncated=truncated,
             )
         )

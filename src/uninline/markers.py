@@ -24,7 +24,7 @@ import hashlib
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import ctext
@@ -173,14 +173,18 @@ def strip_instrumentation(content: bytes) -> bytes:
     return "".join(kept).encode("utf-8", "surrogateescape")
 
 
-def extract_markers(body: DecompiledFunction) -> list[RecoveredMarker]:
+def extract_markers(body: DecompiledFunction,
+                    lines: Sequence[str] | None = None) -> list[RecoveredMarker]:
     """Collect surviving marker payloads from a decompiled body, in line order.
 
     Any line may carry several markers; each occurrence yields one
     record. A payload prefix with no name after it is logged and skipped.
+    `lines`, when given, are the body's lines, already split.
     """
+    if body.text is None or MARKER_PREFIX not in body.text:
+        return []
     found = []
-    for lineno, line in enumerate(body.lines):
+    for lineno, line in enumerate(body.lines if lines is None else lines):
         for match in _PAYLOAD_RE.finditer(line):
             name = match.group(1)
             if name is None:
@@ -218,12 +222,10 @@ def reconcile_function(body: DecompiledFunction, targets: TargetFunctionSet) -> 
     recovered calls are the target-function invocations still visible to
     the decompiler as plain calls in the body text.
     """
-    markers = [m for m in extract_markers(body) if m.name in targets.name_set]
-    sites = ctext.find_call_sites(body.lines, targets.name_set)
+    lines = body.lines
+    markers = [m for m in extract_markers(body, lines) if m.name in targets.name_set]
+    sites = ctext.find_call_sites(lines, targets.name_set)
     recovered = Counter(site.name for site in sites)
     residual, _removed = reconcile(markers, recovered)
-    return replace(
-        body,
-        true_labels=residual,
-        recovered=tuple(sorted(recovered.elements())),
-    )
+    return DecompiledFunction.from_text(
+        body.id, body.text, residual, tuple(sorted(recovered.elements())), body.truncated)

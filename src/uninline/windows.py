@@ -13,6 +13,7 @@ text so a classifier never reads the labels it is meant to predict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -85,16 +86,20 @@ def scan_windows(body: DecompiledFunction, spec: WindowSpec) -> list[WindowInsta
     leaves no line at the end of the body unscanned: max(1, L-h+1)
     windows at stride 1. A body of at most h lines is one window.
     """
-    length = len(body.lines)
+    lines = body.lines
+    length = len(lines)
     if length == 0:
         return []
     last = max(length - spec.height, 0)
     starts = [*range(0, last, spec.stride), last]
-    skip = frozenset(i for i, line in enumerate(body.lines) if MARKER_PREFIX in line)
+    kept = range(length)  # the body lines a window's text keeps
+    if MARKER_PREFIX in body.text:
+        kept = [i for i, line in enumerate(lines) if MARKER_PREFIX not in line]
+        lines = [lines[i] for i in kept]
     out = []
     for start in starts:
         end = min(start + spec.height, length)
-        text = "\n".join([body.lines[i] for i in range(start, end) if i not in skip])
+        text = "\n".join(lines[bisect_left(kept, start):bisect_left(kept, end)])
         out.append(WindowInstance(body.id, start, text, _window_label(body, start, end)))
     return out
 
@@ -118,7 +123,7 @@ def rebalance(
 
 
 def write_windows(path, instances: Iterable[WindowInstance]) -> int:
-    return write_jsonl(path, (w.as_json() for w in instances))
+    return write_jsonl(path, instances, WindowInstance.as_json)
 
 
 def read_windows(path) -> list[WindowInstance]:

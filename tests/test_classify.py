@@ -617,6 +617,36 @@ def test_external_client_on_a_socket_moves_more_than_a_buffer_each_way() -> None
     assert got == labels and not client.failed
 
 
+def test_external_client_writes_short_requests_in_a_few_blocks() -> None:
+    """200 short requests go out in a few writes, not one per request line."""
+    ws = [_w(f"window {k}") for k in range(200)]
+
+    def answer(peer: socket.socket) -> None:
+        with peer.makefile("rb") as lines, peer.makefile("wb", buffering=0) as out:
+            out.write(lines.readline())
+            for line in lines:
+                out.write(dump_line({"id": json.loads(line)["id"], "label": ""}).encode()
+                          + b"\n")
+
+    with contextlib.ExitStack() as stack:
+        ours, theirs = map(stack.enter_context, socket.socketpair())
+        theirs.settimeout(30)
+        peer = threading.Thread(target=answer, args=(theirs,))
+        peer.start()
+        write = stack.enter_context(
+            mock.patch.object(classify.os, "write", wraps=classify.os.write))
+        with ours.makefile("rb", buffering=0) as reader, \
+                ours.makefile("wb", buffering=0) as writer:
+            client = ExternalModelClient(reader, writer, BpeVocab(()), timeout=30)
+            got = client.predict(ws)
+        ours.shutdown(socket.SHUT_RDWR)
+        peer.join(timeout=30)
+    assert not peer.is_alive()
+    assert got == [EMPTY] * len(ws) and not client.failed
+    # the client's writes alone: the handshake, then the requests' one block
+    assert 2 <= write.call_count <= 5, write.call_count
+
+
 def test_external_reader_closed_when_the_block_exits(tmp_path) -> None:
     vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
     with spawn_external(_server(tmp_path, SERVER_OK), vocab) as client:

@@ -116,6 +116,49 @@ def test_function_record_validates_anchor() -> None:
         )
 
 
+# lines as split_lines gives them: no newline, but "", a lone "\r", non-ASCII
+# and surrogate-escaped bytes are all lines
+BODY_LINE = st.one_of(
+    st.sampled_from(["", "\r", "{", "}", "  return 0;", "  /* é */", "\udcff\udcfe"]),
+    st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+            max_size=12),
+    st.binary(max_size=8).map(lambda raw: raw.decode("utf-8", "surrogateescape"))
+    .filter(lambda line: "\n" not in line))
+BODY_LINES = st.one_of(st.just(()), st.tuples(BODY_LINE), st.lists(BODY_LINE, max_size=30)
+                       .map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=BODY_LINES, data=st.data())
+def test_a_body_held_as_text_gives_its_lines_back(lines, data) -> None:
+    anchors = data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=3)) if lines else []
+    body = DecompiledFunction(FunctionId("a.c", "f", 0), lines,
+                              tuple(("memset", a) for a in anchors), ("strcpy",) * len(anchors),
+                              truncated=data.draw(st.booleans()))
+    assert body.lines == lines
+    assert body.text == ("\n".join(lines) if lines else None)
+    assert DecompiledFunction.from_json(body.as_json()) == body
+    assert DecompiledFunction(body.id, list(lines)) == DecompiledFunction.from_text(body.id,
+                                                                                   body.text)
+
+
+def test_no_lines_and_one_empty_line_are_different_bodies() -> None:
+    fid = FunctionId("a.c", "f", 0)
+    empty, blank = DecompiledFunction(fid, ()), DecompiledFunction(fid, ("",))
+    assert (empty.text, blank.text) == (None, "")
+    assert (empty.lines, blank.lines) == ((), ("",))
+    assert empty != blank
+    assert empty.as_json()["lines"] == [] and blank.as_json()["lines"] == [""]
+
+
+@pytest.mark.parametrize("lines", [("a\nb",), ("int f(void)", "{\n}"), ("\n",), "abc",
+                                   ("a", 7), ["a", None]])
+def test_a_body_refuses_lines_that_would_not_split_back(lines) -> None:
+    with pytest.raises(ValueError, match="field 'lines' must be a list of strings "
+                                         "without line breaks"):
+        DecompiledFunction(FunctionId("a.c", "f", 0), lines)
+
+
 PSEUDO = b"""\
 int helper(int x)
 

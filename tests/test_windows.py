@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_body
 from uninline.corpus import DecompiledFunction, FunctionId
+from uninline.markers import MARKER_PREFIX
 from uninline.windows import (
     EMPTY,
     WindowInstance,
@@ -118,6 +119,27 @@ def test_every_line_lies_in_a_window_at_strides_up_to_the_height(length, height,
     assert covered == set(range(length))
     starts = [w.start for w in ws]
     assert starts == sorted(set(starts)) and starts[-1] == max(length - height, 0)
+
+
+def oracle_window_texts(lines: tuple[str, ...], height: int, starts: list[int]) -> list[str]:
+    """Each window's text, as scanning once made it: a line at a time, markers skipped."""
+    skip = {i for i, line in enumerate(lines) if MARKER_PREFIX in line}
+    return ["\n".join([lines[i] for i in range(start, min(start + height, len(lines)))
+                       if i not in skip]) for start in starts]
+
+
+_LINE = st.sampled_from(["  x = 1;", "", '  funcmark_ab[0] = "FUNCMARK:memset";', "  é;",
+                         "a FUNCMARK: b", "\udcff"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, min_size=1, max_size=50).map(tuple), height=st.integers(1, 25),
+       data=st.data())
+def test_window_texts_match_the_line_by_line_oracle(lines, height, data) -> None:
+    stride = data.draw(st.integers(1, height + 3))
+    ws = scan_windows(DecompiledFunction(FunctionId("x.c", "f", 0), lines),
+                      WindowSpec(height=height, stride=stride))
+    assert [w.text for w in ws] == oracle_window_texts(lines, height, [w.start for w in ws])
 
 
 def test_spec_validation() -> None:
