@@ -26,8 +26,19 @@ line and the i-th change line form pair i.
 "workloads") and at any other seed (under "held_out") it gives, per
 end-to-end metric of BENCHMARK.json, each side's median, quartiles
 (statistics.quantiles, n=4) and runs, the pairs the change wins and
-ties, and the ratio of the medians. Traced runs (under "traced") list
-the values of each per-layer metric named by `--layer`.
+ties, the ratio of the medians, and two verdicts:
+
+- `gain_shown`: the change wins at least nine tenths of the pairs, ties
+  counting for neither side, and its median is better than the
+  parent's by more than the parent's quartile distance (q3 - q1);
+- `bound`: `worse` when the change's median is worse than the parent's
+  by more than the metric's `bound` of BENCHMARK.json, a fraction of
+  the parent's median; `unresolved` when either side's quartile
+  distance exceeds that bound, unless every change run beats every
+  parent run; `within` otherwise.
+
+Traced runs (under "traced") list the values of each per-layer metric
+named by `--layer`.
 """
 
 from __future__ import annotations
@@ -97,10 +108,31 @@ def _read(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
 def _stats(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": round(statistics.median(values), 4), "q1": round(q1, 4),
+    q1, median, q3 = _quartiles(values)
+    return {"median": round(median, 4), "q1": round(q1, 4),
             "q3": round(q3, 4), "runs": [round(v, 4) for v in values]}
+
+
+def _verdicts(p: list[float], c: list[float], higher: bool, bound: float) -> dict:
+    """`gain_shown` and `bound`, as the module docstring defines them."""
+    sign = 1 if higher else -1
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(p), _quartiles(c)
+    wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+    allowed = bound * abs(pm)
+    every_run_better = min(sign * v for v in c) > max(sign * v for v in p)
+    if max(p3 - p1, c3 - c1) > allowed and not every_run_better:
+        verdict = "unresolved"
+    elif sign * (cm - pm) < -allowed:
+        verdict = "worse"
+    else:
+        verdict = "within"
+    return {"gain_shown": 10 * wins >= 9 * len(p) and sign * (cm - pm) > p3 - p1,
+            "bound": verdict}
 
 
 def _compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
@@ -123,6 +155,7 @@ def _compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dic
             "tied_pairs": sum(a == b for a, b in zip(p, c)),
             "median_ratio": round(c_stats["median"] / p_stats["median"], 4)
             if p_stats["median"] else None,
+            **_verdicts(p, c, higher, metric["bound"]),
         }
     return out
 

@@ -279,6 +279,8 @@ class ExternalProtocolError(RuntimeError):
 
 # seconds: the longest a client waits on its labeler at any one time
 DEFAULT_TIMEOUT = 60.0
+# seconds: poll takes its timeout as a C int of milliseconds
+MAX_TIMEOUT = (2 ** 31 - 1) / 1000
 
 
 def _recv(replies: Iterator[bytes]) -> dict:
@@ -324,8 +326,9 @@ class ExternalModelClient:
     reader/writer are unbuffered binary files (subprocess pipes, socket
     makefiles with buffering=0), which may share one descriptor; the
     client makes them non-blocking. No wait lasts over `timeout`
-    seconds. A batch error sets `failed`: requests and replies are then
-    out of step for good.
+    seconds, which must be positive and at most `MAX_TIMEOUT`. A batch
+    error sets `failed`: requests and replies are then out of step for
+    good.
     """
 
     def __init__(
@@ -336,6 +339,9 @@ class ExternalModelClient:
         known_labels: Iterable[str] | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
+        if not 0 < timeout <= MAX_TIMEOUT:
+            raise ValueError(f"timeout must be a positive number of seconds, "
+                             f"at most {MAX_TIMEOUT}, not {timeout:g}")
         self._reader = reader
         self._writer = writer
         self._in, self._out = reader.fileno(), writer.fileno()
@@ -466,8 +472,8 @@ def spawn_external(
     """
     with subprocess.Popen(list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                           bufsize=0) as proc:  # which closes both pipes on the way out
-        client = ExternalModelClient(proc.stdout, proc.stdin, vocab, known_labels, timeout)
         try:
+            client = ExternalModelClient(proc.stdout, proc.stdin, vocab, known_labels, timeout)
             yield client
             if client.failed:
                 return  # its requests and replies are out of step: the child is killed

@@ -106,9 +106,13 @@ def _cmd_inject(args) -> int:
 
 def _cmd_split(args) -> int:
     paths = sorted(args.paths)
-    for a, b in zip(paths, paths[1:]):
-        if a == b:
-            raise ValueError(f"{a}: given twice")
+    spelled: dict[str, str] = {}  # real path -> how it was first given
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in spelled:
+            also = "" if spelled[real] == path else f", also as {spelled[real]}"
+            raise ValueError(f"{path}: given twice{also}")
+        spelled[real] = path
     records = []
     for path in paths:
         source = corpus.SourceFile(path, Path(path).read_bytes(), corpus.Language.PSEUDO_C)
@@ -129,7 +133,7 @@ def _cmd_reconcile(args) -> int:
     kept = []  # (id, residual marker names, recovered call names) of each labeled body
 
     def labeled():
-        for rec in corpus.iter_functions_by_id(args.functions):
+        for rec in corpus.iter_functions(args.functions):
             out = markers.reconcile_function(rec, targets)
             kept.append((out.id, tuple(name for name, _ in out.true_labels), out.recovered))
             yield out
@@ -178,7 +182,7 @@ def _cmd_windows(args) -> int:
     counts = Counter()
 
     def scanned():
-        for rec in corpus.iter_functions_by_id(args.functions):
+        for rec in corpus.iter_functions(args.functions):
             counts["functions"] += 1
             for w in windows.scan_windows(rec, spec):
                 counts["labeled"] += w.label != windows.EMPTY
@@ -254,9 +258,9 @@ def _cmd_predict(args) -> int:
     if args.external:
         if not args.vocab:
             raise ValueError("--external requires --vocab for request tokenization")
-        if not 0 < args.external_timeout < math.inf:
+        if not 0 < args.external_timeout <= classify.MAX_TIMEOUT:
             raise ValueError("--external-timeout must be a positive number of seconds, "
-                             f"not {args.external_timeout:g}")
+                             f"at most {classify.MAX_TIMEOUT}, not {args.external_timeout:g}")
         vocab = bpe.load_vocab(args.vocab)
         known = corpus.load_targets(args.targets).name_set if args.targets else None
         with classify.spawn_external(shlex.split(args.external), vocab, known,
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("split", help="carve decompiled pseudo-C files into function records")
-    p.add_argument("--out", required=True, help="function records, sorted by path")
+    p.add_argument("--out", required=True, help="function records, in id order")
     p.add_argument("paths", nargs="+", help="pseudo-C files; each path is recorded as given")
     p.set_defaults(func=_cmd_split)
 

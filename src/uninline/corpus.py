@@ -86,8 +86,7 @@ class FunctionId(NamedTuple):
         if not isinstance(obj, (list, tuple)) or len(obj) != 3:
             raise ValueError(f"function id must be [path, name, ordinal], not {obj!r}")
         path, name, ordinal = obj
-        # the checks run only to name what is wrong: an id is decoded twice per record
-        # read in id order, so the common case costs three type tests
+        # the checks run only to name what is wrong, so the common case costs three type tests
         if not (type(path) is str and type(name) is str and type(ordinal) is int):
             check("path", path, STRING), check("name", name, STRING)
             check("ordinal", ordinal, INTEGER)
@@ -104,8 +103,10 @@ def _join_lines(lines: Sequence[str]) -> str | None:
     """The lines of a body joined with newlines, or None for no lines.
 
     `lines` must be a list or tuple of strings none of which holds a
-    newline, so that splitting the text gives them back; otherwise a
-    ValueError names field 'lines'. The join is the type check.
+    newline, so that splitting the text gives them back, and each
+    surrogate in them must stand for a byte (`jsonl.check_text`);
+    otherwise a ValueError names field 'lines'. The join is the type
+    check.
     """
     if type(lines) in (list, tuple):
         if not lines:
@@ -116,7 +117,7 @@ def _join_lines(lines: Sequence[str]) -> str | None:
             pass
         else:
             if text.count("\n") == len(lines) - 1:  # so no line held a newline
-                return text
+                return jsonl.check_text("lines", text)
     raise ValueError(f"field 'lines' must be a list of strings without line breaks, "
                      f"not {reprlib.repr(lines)}")
 
@@ -206,18 +207,12 @@ class DecompiledFunction:
 
 
 def iter_functions(path: str | Path) -> Iterator[DecompiledFunction]:
-    """The function records of `path`, decoded one at a time; a repeated id is refused."""
-    return jsonl.iter_records(path, DecompiledFunction.from_json, key="id")
+    """The function records of `path`, decoded a few at a time.
 
-
-def iter_functions_by_id(path: str | Path) -> Iterator[DecompiledFunction]:
-    """The function records of `path` in id order, decoded a few at a time.
-
-    Only the ids are held, so a file need not be in id order: `split`
-    writes each file's bodies as they come, not sorted by name.
+    Each record's id must sort past the one before it, as `split` writes
+    them; a record out of place, or a repeated id, is refused at its line.
     """
-    return jsonl.iter_records_by_key(path, DecompiledFunction.from_json, "id",
-                                     FunctionId.from_json)
+    return jsonl.iter_records(path, DecompiledFunction.from_json, key="id", rising=True)
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
@@ -412,7 +407,9 @@ def split_functions(file: SourceFile) -> list[DecompiledFunction]:
     """Carve a pseudo-C file into function bodies, signature through close brace.
 
     Text outside bodies (warnings, stray declarations) is discarded. A
-    body left open at end of file is truncated there and flagged.
+    body left open at end of file is truncated there and flagged. Each
+    body's ordinal is its place in the file; the bodies are returned in
+    id order, so by name, then ordinal.
     """
     if file.language is not Language.PSEUDO_C:
         raise ValueError(f"{file.path}: split_functions expects decompiled pseudo-C")
@@ -439,4 +436,5 @@ def split_functions(file: SourceFile) -> list[DecompiledFunction]:
             )
         )
         i = close + 1
+    functions.sort(key=lambda fn: fn.id)
     return functions

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import reprlib
 import sys
 from itertools import islice
@@ -37,6 +38,25 @@ LIST = Kind(lambda v: type(v) is list, "a list")
 STRINGS = Kind(lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings")
 
 
+# surrogateescape decodes byte XX of 0x80-0xff, which is no UTF-8 on its own, as
+# U+DCXX; UTF-8 cannot hold a surrogate, so `dump_line` writes it as a \u escape
+_BYTE = re.compile("[\udc80-\udcff]")
+# a surrogate that stands for no byte, which a \u escape in a line can give
+_NO_BYTE = re.compile("[\ud800-\udc7f\udd00-\udfff]")
+
+
+def check_text(name: str, text: str) -> str:
+    """`text` if each surrogate in it stands for a byte; otherwise a ValueError naming field `name`.
+
+    Text that is all ASCII, as most is, costs one `str.isascii`; a search
+    of every line for a `\\u` escape would cost a quarter of its decoding.
+    """
+    if not text.isascii() and (bad := _NO_BYTE.search(text)):
+        raise ValueError(f"field {name!r} holds \\u{ord(bad.group()):04x}, "
+                         "a surrogate that stands for no byte")
+    return text
+
+
 def check(name: str, value: T, kind: Kind) -> T:
     """`value` if it is of `kind`; otherwise a ValueError naming field `name`."""
     if not kind.test(value):
@@ -49,26 +69,24 @@ def field(obj: Mapping[str, Any], key: str, kind: Kind) -> Any:
     return check(key, obj[key], kind)
 
 
-def _nonblank(path: str | Path) -> Iterator[tuple[int, str, int, int]]:
-    """Yield (line number, stripped text, byte offset, byte length) for each non-blank line.
+def _nonblank(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped text) for each non-blank line.
 
-    Lines end at LF, CR or CRLF, as in text mode; a line's bytes include
-    its ending. Each line is decoded on its own, so invalid UTF-8 is
-    reported at its line; text mode decodes in blocks and could not say
-    which.
+    Lines end at LF, CR or CRLF, as in text mode. Each line is decoded
+    on its own, so invalid UTF-8 is reported at its line; text mode
+    decodes in blocks and could not say which.
     """
-    lineno = offset = 0
+    lineno = 0
     with open(path, "rb") as fh:
         for block in fh:
-            for raw in block.splitlines(True) if b"\r" in block else (block,):
+            for raw in block.splitlines() if b"\r" in block else (block,):
                 lineno += 1
-                offset += len(raw)
                 try:
                     line = raw.decode("utf-8").strip()
                 except UnicodeDecodeError:
                     raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
                 if line:
-                    yield lineno, line, offset - len(raw), len(raw)
+                    yield lineno, line
 
 
 # the C scanner under json.loads, called directly: a stripped line is one
@@ -98,7 +116,7 @@ def _decode(path: str | Path, lineno: int, line: str) -> dict:
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield one decoded object per non-blank line."""
-    for lineno, line, _, _ in _nonblank(path):
+    for lineno, line in _nonblank(path):
         yield _decode(path, lineno, line)
 
 
@@ -108,7 +126,7 @@ def record_line(path: str | Path, index: int) -> int:
     `read_jsonl` yields bare objects, so a record's line is found by
     reading the file again, which only an error pays for.
     """
-    lineno, *_ = next(islice(_nonblank(path), index, None))
+    lineno, _ = next(islice(_nonblank(path), index, None))
     return lineno
 
 
@@ -127,36 +145,54 @@ def _ahead(items: Iterable[T]) -> Iterator[T]:
 
 
 def iter_records(path: str | Path, decode: Callable[[dict], T],
-                 key: str | None = None) -> Iterator[T]:
+                 key: str | None = None, rising: bool = False) -> Iterator[T]:
     """Decode the objects of a JSONL file a few at a time; an error names its `path:line`.
 
     `decode` raises ValueError for an ill-typed field and KeyError for a
     missing one. `key`, when given, is the field that identifies a
     record and the decoded record's attribute of that name: a record
-    whose key an earlier one holds is refused, naming both lines. Only
-    the keys are held, so the earlier line is found by decoding the file
-    again, which only that error pays for.
+    whose key an earlier one holds is refused, naming both lines. With
+    `rising`, so is a record whose key does not sort past the one
+    before it, and only that key is held; otherwise every key is. The
+    earlier line is found by decoding the file again, which only an
+    error pays for.
     """
-    return _ahead(_decoded(path, decode, key))
+    return _ahead(_decoded(path, decode, key, rising))
 
 
-def _decoded(path: str | Path, decode: Callable[[dict], T], key: str | None) -> Iterator[T]:
+def _decoded(path: str | Path, decode: Callable[[dict], T], key: str | None,
+             rising: bool) -> Iterator[T]:
     seen: set = set()
+    last = None
     for index, obj in enumerate(read_jsonl(path)):
         try:
             record = decode(obj)
             if key is not None:
                 value = getattr(record, key)
-                if value in seen:
-                    first = next(i for i, o in enumerate(read_jsonl(path))
-                                 if getattr(decode(o), key) == value)
-                    raise ValueError(f"field {key!r} repeats {reprlib.repr(obj[key])} "
-                                     f"of line {record_line(path, first)}")
-                seen.add(value)
+                if rising:
+                    if index and not last < value:
+                        raise ValueError(_misplaced(path, decode, key, index, value))
+                    last = value
+                elif value in seen:
+                    raise ValueError(_misplaced(path, decode, key, index, value))
+                else:
+                    seen.add(value)
         except (KeyError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}:{record_line(path, index)}: {detail}") from None
         yield record
+
+
+def _misplaced(path: str | Path, decode: Callable[[dict], T], key: str, index: int,
+               value: Any) -> str:
+    """Why the `index`-th record, whose `key` is `value`, is out of place."""
+    before, obj = islice(read_jsonl(path), index - 1, index + 1)
+    first = next(i for i, o in enumerate(read_jsonl(path)) if getattr(decode(o), key) == value)
+    if first < index:
+        return (f"field {key!r} repeats {reprlib.repr(obj[key])} "
+                f"of line {record_line(path, first)}")
+    return (f"field {key!r} is {reprlib.repr(obj[key])}, not past the "
+            f"{reprlib.repr(before[key])} of line {record_line(path, index - 1)}")
 
 
 def read_records(path: str | Path, decode: Callable[[dict], T],
@@ -165,66 +201,18 @@ def read_records(path: str | Path, decode: Callable[[dict], T],
     return list(iter_records(path, decode, key))
 
 
-def _decode_record(path: str | Path, lineno: int, line: str, decode: Callable[[dict], T]) -> T:
-    """`decode` of the object a stripped line holds; an error names its `path:line`."""
-    obj = _decode(path, lineno, line)
-    try:
-        return decode(obj)
-    except (KeyError, ValueError) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{path}:{lineno}: {detail}") from None
-
-
-def iter_records_by_key(path: str | Path, decode: Callable[[dict], T], key: str,
-                        decode_key: Callable[[Any], Any]) -> Iterator[T]:
-    """The records of a JSONL file in order of their `key`, decoded a few at a time.
-
-    A first pass notes each record's key and where its line lies; then
-    the records are decoded in key order, each from its own line, so
-    only the keys are held, whatever order the file is in. A line that
-    begins with its key, as `write_jsonl` writes a record whose key
-    sorts first, has just that value scanned and read by `decode_key`;
-    any other line is decoded in full. A repeated key is refused, naming
-    both lines; an error names its `path:line`.
-    """
-    prefix = f'{{"{key}":'
-    index = []  # (key, line number, byte offset, byte length) of each record
-    for lineno, line, offset, size in _nonblank(path):
-        try:
-            value = decode_key(_scan_once(line, len(prefix))[0]) if line.startswith(prefix) else None
-        except (StopIteration, ValueError):
-            value = None
-        if value is None:  # decoded in full, which names what is wrong with it
-            value = getattr(_decode_record(path, lineno, line, decode), key)
-        index.append((value, lineno, offset, size))
-    index.sort()
-    repeats = [(later, first) for (a, first, *_), (b, later, *_) in zip(index, index[1:])
-               if a == b]
-    if repeats:
-        later, first = min(repeats)
-        obj = next(_decode(path, n, line) for n, line, *_ in _nonblank(path) if n == later)
-        raise ValueError(f"{path}:{later}: field {key!r} repeats {reprlib.repr(obj[key])} "
-                         f"of line {first}")
-    return _ahead(_decoded_in_order(path, decode, key, index))
-
-
-def _decoded_in_order(path: str | Path, decode: Callable[[dict], T], key: str,
-                      index: list[tuple[Any, int, int, int]]) -> Iterator[T]:
-    with open(path, "rb") as fh:
-        for value, lineno, offset, size in index:
-            fh.seek(offset)
-            record = _decode_record(path, lineno, fh.read(size).decode("utf-8").strip(), decode)
-            if getattr(record, key) != value:  # JSON keeps the last of two keys of one name
-                raise ValueError(f"{path}:{lineno}: field {key!r} is given twice")
-            yield record
-
-
 # one encoder for every line: json.dumps builds a new one per call when given options
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode
 
 
 def dump_line(record: Mapping[str, Any]) -> str:
-    return _encode(record)
+    """`record` as one line of JSON, each surrogate that stands for a byte escaped."""
+    line = _encode(record)
+    return line if line.isascii() else _BYTE.sub(_escape, line)
+
+
+def _escape(match: re.Match) -> str:
+    return f"\\u{ord(match.group()):04x}"
 
 
 @contextlib.contextmanager

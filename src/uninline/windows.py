@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import DecompiledFunction, FunctionId
-from .jsonl import INTEGER, STRING, field, read_records, write_jsonl
+from .jsonl import INTEGER, STRING, check_text, field, read_records, write_jsonl
 from .markers import MARKER_PREFIX
 from .rng import doubles
 
@@ -66,7 +66,7 @@ class WindowInstance:
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
             start=field(obj, "start", INTEGER),
-            text=field(obj, "text", STRING),
+            text=check_text("text", field(obj, "text", STRING)),
             label=field(obj, "label", STRING),
         )
 

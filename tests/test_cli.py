@@ -20,7 +20,8 @@ from conftest import make_body
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uninline import bpe, classify, cli, coalesce, combine, corpus, evaluate, markers, windows
+from uninline import (bpe, classify, cli, coalesce, combine, corpus, evaluate, jsonl, markers,
+                      windows)
 from uninline.combine import FunctionRecovery, RecoveryMultiset
 from uninline.corpus import DecompiledFunction, FunctionId
 
@@ -474,13 +475,18 @@ def test_predict_external_timeout_kills_a_silent_labeler(tmp_path, capsys, answe
     assert not (tmp_path / "labels.jsonl").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e7", "1e300"])
 def test_predict_external_timeout_must_be_positive(tmp_path, capsys, value) -> None:
+    """poll waits at most 2**31 - 1 ms, so a longer timeout is refused with the others."""
     command = shlex.join([sys.executable, "-c", "pass"])
     argv = _external_predict_argv(tmp_path, command, "--external-timeout", value)
     assert cli.run(argv) == 2
     assert (f"uninline predict: error: --external-timeout must be a positive number of "
-            f"seconds, not {value}") in capsys.readouterr().err
+            f"seconds, at most 2147483.647, not {float(value):g}") in capsys.readouterr().err
+    reader, writer = os.pipe()
+    with open(reader, "rb", buffering=0) as out, open(writer, "wb", buffering=0) as into:
+        with pytest.raises(ValueError, match="timeout must be a positive number of seconds"):
+            classify.ExternalModelClient(out, into, bpe.BpeVocab(()), timeout=float(value))
 
 
 def test_predict_requires_model_or_external(tmp_path) -> None:
@@ -505,6 +511,8 @@ PSEUDO_FILES = {
     "dec/b.c": b"int second(void) {\n  memset(p, 0, 4);\n}\n",
     "dec/a.c": b"int first(int x)\n{\n  if (x) { return \"}\"[0]; }\n  return 0;\n}\n"
                b"/* void gone(void) { */\nvoid tail(void) {\n",
+    # in address order, as a decompiler lists them: the names fall
+    "dec/c.c": b"int main(void) {\n}\nvoid _init(void) {\n}\nint FUN_00101020(void) {\n}\n",
 }
 
 
@@ -521,7 +529,8 @@ def test_split_writes_the_records_split_functions_gives(tmp_path, run_root, monk
             corpus.SourceFile(path, PSEUDO_FILES[path], corpus.Language.PSEUDO_C))
     corpus.write_functions("expected.jsonl", expected)
     assert (tmp_path / "funcs.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
-    assert [f.id.name for f in corpus.read_functions("funcs.jsonl")] == ["first", "tail", "second"]
+    assert [tuple(f.id)[1:] for f in corpus.read_functions("funcs.jsonl")] == [
+        ("first", 0), ("tail", 1), ("second", 0), ("FUN_00101020", 2), ("_init", 1), ("main", 0)]
     (record,) = _manifest(run_root)
     assert record["command"] == "split"
     assert record["inputs"] == {
@@ -533,16 +542,92 @@ def test_split_writes_the_records_split_functions_gives(tmp_path, run_root, monk
 @pytest.mark.parametrize("names, message", [
     (["a.c", "missing.c"], "missing.c"),
     (["a.c", "a.c"], "a.c: given twice"),
+    (["d/b.c", "d/./b.c"], "d/b.c: given twice, also as d/./b.c"),
 ])
 def test_split_refuses_a_missing_or_repeated_file(tmp_path, run_root, capsys, monkeypatch,
                                                   names, message) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.c").write_bytes(b"int f(void) {\n}\n")
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "b.c").write_bytes(b"int f(void) {\n}\n")
     rc = cli.run(["split", "--out", "funcs.jsonl", *names])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "funcs.jsonl").exists()
     assert _manifest(run_root) == []
+
+
+# bytes that are no UTF-8: each of 0x80-0xff alone, and sequences broken off or ill-formed
+_NOT_UTF8 = [bytes([b]) for b in range(0x80, 0x100)] + [
+    b"\xe2\x82", b"\xf0\x9f\x98", b"\xc3(", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]
+
+
+def _body_of_raw_bytes(name: str, chunks: list[bytes]) -> bytes:
+    """A pseudo-C function whose string literals and comments hold `chunks`."""
+    lines = [f"int {name}(char *p)".encode(), b"{"]
+    for i, chunk in enumerate(chunks):
+        lines.append(b'  p = "' + chunk + b'";' if i % 2 else b"  /* " + chunk + b" */")
+        lines.append(b"  memset(p, 0, 4);" if i % 5 == 0 else b"  q = p;")
+    return b"\n".join(lines + [b"}", b""])
+
+
+def test_every_byte_of_a_body_survives_split_to_score(tmp_path, monkeypatch) -> None:
+    """Bytes that are no UTF-8 reach each window as they were in the source file."""
+    monkeypatch.chdir(tmp_path)
+    source = b"".join(_body_of_raw_bytes(f"f{i}", _NOT_UTF8[i::4]) for i in range(4))
+    (tmp_path / "raw.c").write_bytes(source)
+    (tmp_path / "targets.txt").write_text("memset\n")
+    chain = [
+        ["split", "--out", "funcs.jsonl", "raw.c"],
+        ["reconcile", "--functions", "funcs.jsonl", "--targets", "targets.txt",
+         "--out", "labeled.jsonl", "--truth-out", "truth.jsonl", "--recovered-out", "rec.jsonl"],
+        ["windows", "--functions", "labeled.jsonl", "--out", "windows.jsonl",
+         "--window-height", "4"],
+        ["bpe-train", "--functions", "--vocab-size", "300", "--out", "vocab.txt",
+         "labeled.jsonl"],
+        ["fit", "--kind", "token-stats", "--windows", "windows.jsonl", "--vocab", "vocab.txt",
+         "--out", "model.json"],
+        ["predict", "--windows", "windows.jsonl", "--model", "model.json", "--vocab",
+         "vocab.txt", "--out", "labels.jsonl"],
+        ["coalesce", "--labels", "labels.jsonl", "--out", "model_rec.jsonl"],
+        ["combine", "--model", "model_rec.jsonl", "--decompiler", "rec.jsonl",
+         "--out", "combined.jsonl"],
+        ["score", "--pred", "combined.jsonl", "--truth", "truth.jsonl"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in chain:
+            assert cli.run(argv) == 0, argv
+    bodies = {f.id: f.text.encode("utf-8", "surrogateescape").split(b"\n")
+              for f in corpus.read_functions("labeled.jsonl")}
+    assert len(bodies) == 4
+    assert all(b"\n".join(lines) in source for lines in bodies.values())
+    seen = b""
+    for w in windows.read_windows("windows.jsonl"):
+        raw = w.text.encode("utf-8", "surrogateescape")
+        assert raw == b"\n".join(bodies[w.func_id][w.start:w.start + 4])
+        seen += raw
+    assert all(chunk in seen for chunk in _NOT_UTF8)
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udc7f", "\\udd00", "\\uDFFF"])
+@pytest.mark.parametrize("stage, field", [("windows", "lines"), ("rebalance", "text")])
+def test_a_surrogate_that_stands_for_no_byte_exits_2_at_its_line(tmp_path, capsys, stage, field,
+                                                                 escape) -> None:
+    """A body's text may hold U+DC80-U+DCFF, each a byte; any other surrogate is refused."""
+    if field == "lines":
+        good, bad = {**FUNCTION, "lines": ["\udc80\udcff"]}, {**FUNCTION, "id": _OTHER_ID,
+                                                            "lines": ["x@"]}
+    else:
+        good, bad = {**WINDOW, "text": "\udc80\udcff"}, {**WINDOW, "text": "x@"}
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    path.write_text(jsonl.dump_line(good) + "\n" + json.dumps(bad).replace("@", escape) + "\n")
+    argv = {"windows": ["--functions", path, "--out", out],
+            "rebalance": ["--windows", path, "--out", out]}[stage]
+    assert cli.run([stage, *map(str, argv)]) == 2
+    assert capsys.readouterr().err == (
+        f"uninline {stage}: error: {path}:2: field '{field}' holds \\{escape[1:].lower()}, "
+        "a surrogate that stands for no byte\n")
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(tmp_path) -> None:
@@ -1043,12 +1128,12 @@ _BODY_LINES = ["int f(void)", "{", "}", "  x = 1;", "", "  sprintf(out, buf);",
 
 @st.composite
 def _function_file(draw) -> list[dict]:
-    """Function records with distinct ids, in any order, of bodies with markers and calls."""
+    """Function records in id order, of bodies with markers and calls."""
     ids = draw(st.lists(st.tuples(st.sampled_from(["a.c", "b.c"]), st.sampled_from("fgh"),
                                   st.integers(0, 3)), min_size=1, max_size=8, unique=True))
     return [{"id": list(fid), "true_labels": [], "recovered": [],
              "lines": draw(st.lists(st.sampled_from(_BODY_LINES), max_size=30))}
-            for fid in ids]
+            for fid in sorted(ids)]
 
 
 def _write_records(path, records: list[dict]) -> None:
@@ -1065,27 +1150,29 @@ def _reconcile(functions, out, targets, truth, recovered) -> list[str]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=_function_file(), order=st.randoms(use_true_random=False))
 def test_streaming_stages_write_what_the_sorted_list_gives(tmp_path, records, order) -> None:
-    """reconcile, windows and bpe-train --functions on records in any order give the
-    bytes of the stages that read every record, sorted them and wrote them at the end."""
-    shuffled = records[:]
-    order.shuffle(shuffled)
+    """reconcile, windows and bpe-train --functions on records in id order give the
+    bytes of the stages that read every record, sorted them and wrote them at the end;
+    on the records in another order they exit 2 and write nothing."""
     functions, targets = tmp_path / "functions.jsonl", tmp_path / "targets.txt"
-    _write_records(functions, shuffled)
+    _write_records(functions, records)
     targets.write_text("sprintf\nmemset\n")
     out = {name: tmp_path / f"{name}.jsonl" for name in
-           ("labeled", "truth", "recovered", "windows", "sorted", "vocab")}
+           ("labeled", "truth", "recovered", "windows", "vocab")}
+    argv = {
+        "reconcile": _reconcile(functions, out["labeled"], targets, out["truth"],
+                                out["recovered"]),
+        "windows": ["windows", "--functions", str(out["labeled"]), "--out", str(out["windows"])],
+        "bpe-train": ["bpe-train", "--functions", "--vocab-size", "300", "--min-frequency", "1",
+                      "--out", str(out["vocab"]), str(functions)],
+    }
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(_reconcile(functions, out["labeled"], targets, out["truth"],
-                                  out["recovered"])) == 0
-        assert cli.run(["windows", "--functions", str(out["labeled"]),
-                        "--out", str(out["windows"])]) == 0
-        assert cli.run(["bpe-train", "--functions", "--vocab-size", "300", "--min-frequency",
-                        "1", "--out", str(out["vocab"]), str(functions)]) == 0
+        for stage in argv.values():
+            assert cli.run(stage) == 0
 
-    # the oracle: each stage as it was, on a list of every record
+    # the oracle: each stage as it was, on a sorted list of every record
     names = corpus.load_targets(targets)
-    labeled = [markers.reconcile_function(r, names)
-               for r in sorted(corpus.read_functions(functions), key=lambda r: r.id)]
+    every = sorted((DecompiledFunction.from_json(r) for r in records), key=lambda r: r.id)
+    labeled = [markers.reconcile_function(r, names) for r in every]
     want = {name: tmp_path / f"want-{name}" for name in out}
     corpus.write_functions(want["labeled"], labeled)
     for name, counts in (("truth", "true_counts"), ("recovered", "recovered_counts")):
@@ -1096,20 +1183,43 @@ def test_streaming_stages_write_what_the_sorted_list_gives(tmp_path, records, or
     windows.write_windows(want["windows"], [w for r in labeled
                                             for w in windows.scan_windows(r, spec)])
     bpe.save_vocab(want["vocab"], bpe.train_bpe(
-        ["\n".join(r.lines) for r in corpus.read_functions(functions)],
-        vocab_size=300, min_frequency=1))
-    for name in ("labeled", "truth", "recovered", "windows", "vocab"):
+        ["\n".join(r.lines) for r in every], vocab_size=300, min_frequency=1))
+    for name in out:
         assert out[name].read_bytes() == want[name].read_bytes(), name
 
-    # and windows on the labeled records shuffled writes the same
-    relabeled = [json.loads(line) for line in out["labeled"].read_text().splitlines()]
-    order.shuffle(relabeled)
-    _write_records(out["sorted"], relabeled)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["windows", "--functions", str(out["sorted"]),
-                        "--out", str(out["windows"])]) == 0
-    assert out["windows"].read_bytes() == want["windows"].read_bytes()
+    # in any other order, each stage refuses its input and leaves its outputs as they were
+    places = list(range(len(records)))
+    order.shuffle(places)
+    if places == sorted(places):
+        return
+    lines = out["labeled"].read_text().splitlines()
+    _write_records(functions, [records[i] for i in places])
+    out["labeled"].write_text("".join(lines[i] + "\n" for i in places))
+    for stage in argv.values():
+        assert cli.run(stage) == 2
+    for name in ("truth", "recovered", "windows", "vocab"):
+        assert out[name].read_bytes() == want[name].read_bytes(), name
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("stage", ["reconcile", "windows", "bpe-train"])
+def test_records_out_of_id_order_exit_2_at_the_later_line(tmp_path, capsys, stage) -> None:
+    """Two records swapped: the second of them, whose id falls, is refused at its line."""
+    records = _function_records(4)
+    records[1], records[2] = records[2], records[1]
+    path, out, targets = tmp_path / "in.jsonl", tmp_path / "out", tmp_path / "targets.txt"
+    _write_records(path, records)
+    targets.write_text("memset\n")
+    argv = {
+        "reconcile": ["--functions", path, "--targets", targets, "--out", out],
+        "windows": ["--functions", path, "--out", out],
+        "bpe-train": ["--functions", "--out", out, path],
+    }[stage]
+    assert cli.run([stage, *map(str, argv)]) == 2
+    assert capsys.readouterr().err == (
+        f"uninline {stage}: error: {path}:3: field 'id' is ['mem.c', 'f00001', 1], "
+        "not past the ['mem.c', 'f00002', 2] of line 2\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["reconcile", "windows", "bpe-train"])
@@ -1153,15 +1263,11 @@ def _traced_peak(argv: list[str]) -> int:
 
 
 def test_windows_peak_memory_does_not_grow_with_its_input(tmp_path) -> None:
-    """windows holds one body and its windows at a time, not the file's.
-
-    The records are written in reverse id order, as `split` may write
-    them, so the stage cannot take them as they come.
-    """
+    """windows holds one body and its windows at a time, not the file's."""
     peaks = []
     for count in (30, 300):
         path, out = tmp_path / f"f{count}.jsonl", tmp_path / f"w{count}.jsonl"
-        _write_records(path, _function_records(count)[::-1])
+        _write_records(path, _function_records(count))
         peaks.append(_traced_peak(["windows", "--functions", str(path), "--out", str(out)]))
     assert peaks[1] < 2 * peaks[0], peaks
 
@@ -1169,9 +1275,9 @@ def test_windows_peak_memory_does_not_grow_with_its_input(tmp_path) -> None:
 def test_reconcile_logs_a_bad_marker_once_whatever_the_order(tmp_path, caplog) -> None:
     """Each body is labeled once, so its warning is logged once."""
     records = _function_records(6)
-    records[-1]["lines"][3] = '  x = "FUNCMARK:";'  # first in the file, last by id
+    records[-1]["lines"][3] = '  x = "FUNCMARK:";'
     path, targets = tmp_path / "functions.jsonl", tmp_path / "targets.txt"
-    _write_records(path, records[::-1])
+    _write_records(path, records)
     targets.write_text("memset\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(_reconcile(path, tmp_path / "out.jsonl", targets, tmp_path / "truth.jsonl",
@@ -1182,14 +1288,13 @@ def test_reconcile_logs_a_bad_marker_once_whatever_the_order(tmp_path, caplog) -
 def test_reconcile_peak_memory_per_input_byte(tmp_path) -> None:
     """reconcile keeps each body's id and label names, not the bodies.
 
-    On these 300 bodies (332 kB), in reverse id order, the traced peak
-    per input byte read 3.41 when the stage held every record, and 0.75
-    since they stream (0.73 in id order): about 105 kB that does not
-    grow with the input, and about 470 bytes a body for its id, its
-    place in the file and its label names.
+    On these 300 bodies (332 kB), the traced peak per input byte read
+    3.41 when the stage held every record, and 0.74 since they stream in
+    one pass: about 105 kB that does not grow with the input, and 250 to
+    470 bytes a body for its id and label names.
     """
     path = tmp_path / "functions.jsonl"
-    _write_records(path, _function_records(300)[::-1])
+    _write_records(path, _function_records(300))
     targets = tmp_path / "targets.txt"
     targets.write_text("memset\n")
     peak = _traced_peak(_reconcile(path, tmp_path / "out.jsonl", targets,

@@ -179,12 +179,13 @@ void __thiscall doit(undefined4 *param_1) {
 def test_split_functions_finds_both() -> None:
     sf = SourceFile("dec/a.c", PSEUDO, Language.PSEUDO_C, OptLevel.O2)
     fns = split_functions(sf)
-    assert [fn.id.name for fn in fns] == ["helper", "doit"]
-    assert [fn.id.ordinal for fn in fns] == [0, 1]
+    # in id order; an ordinal is the body's place in the file
+    assert [fn.id.name for fn in fns] == ["doit", "helper"]
+    assert [fn.id.ordinal for fn in fns] == [1, 0]
     # header through closing brace, inclusive
-    assert fns[0].lines[0] == "int helper(int x)"
-    assert fns[0].lines[-1] == "}"
-    assert fns[1].lines[0].startswith("void __thiscall doit")
+    assert fns[1].lines[0] == "int helper(int x)"
+    assert fns[1].lines[-1] == "}"
+    assert fns[0].lines[0].startswith("void __thiscall doit")
 
 
 def test_split_functions_ignores_file_scope_noise() -> None:

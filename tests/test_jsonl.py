@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uninline.jsonl import (INTEGER, check, dump_line, iter_records, iter_records_by_key,
-                            read_jsonl, read_records, write_jsonl)
+from uninline.jsonl import (INTEGER, check, dump_line, iter_records, read_jsonl, read_records,
+                            write_jsonl)
 
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -80,14 +80,15 @@ class Keyed:
         self.key, self.text = check("key", obj["key"], INTEGER), obj["text"]
 
 
-def _by_key(path) -> list[tuple[int, str]]:
-    return [(r.key, r.text) for r in iter_records_by_key(
-        path, Keyed, "key", lambda v: check("key", v, INTEGER))]
+def _rising(path) -> list[tuple[int, str]]:
+    return [(r.key, r.text) for r in iter_records(path, Keyed, key="key", rising=True)]
 
 
 # how a record's line may be laid out: its key first, as write_jsonl puts it, or not
-_LAYOUTS = ['{{"key":{k},"text":{t}}}', '{{"text":{t},"key":{k}}}', '{{ "key": {k}, "text": {t} }}',
-            '{{"key":"{k}","text":{t},"key":{k}}}']
+_LAYOUTS = ['{{"key":{k},"text":{t}}}', '{{"text":{t},"key":{k}}}',
+            '{{ "key": {k}, "text": {t} }}']
+# each line ending, and the lines it makes
+_ENDINGS = {"\n": 1, "\r\n": 1, "\r": 1, "\n\n": 2, "\n  \r\n": 2}
 
 
 @settings(max_examples=200, deadline=None,
@@ -95,37 +96,66 @@ _LAYOUTS = ['{{"key":{k},"text":{t}}}', '{{"text":{t},"key":{k}}}', '{{ "key": {
 @given(records=st.lists(st.tuples(st.integers(-20, 200), st.text(max_size=6)),
                         unique_by=lambda r: r[0]),
        data=st.data())
-def test_iter_records_by_key_yields_every_record_in_key_order(tmp_path, records, data) -> None:
-    """Whatever the file's order, line endings, blank lines and multi-byte text."""
-    lines = []
+def test_iter_records_rising_yields_every_record_in_key_order(tmp_path, records, data) -> None:
+    """Records in key order are read as they are, whatever the line endings, blank
+    lines and multi-byte text; the first record out of order is refused at its line."""
+    if data.draw(st.booleans()):
+        records.sort()
+    chunks, starts = [], []
+    lineno = 1
     for key, text in records:
         layout = data.draw(st.sampled_from(_LAYOUTS))
-        lines.append(layout.format(k=key, t=json.dumps(text, ensure_ascii=False)))
-        lines.append(data.draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n  \r\n"])))
+        ending = data.draw(st.sampled_from(sorted(_ENDINGS)))
+        chunks += [layout.format(k=key, t=json.dumps(text, ensure_ascii=False)), ending]
+        starts.append(lineno)
+        lineno += _ENDINGS[ending]
     path = tmp_path / "r.jsonl"
-    path.write_bytes("".join(lines).encode("utf-8"))
-    assert _by_key(path) == sorted(records)
+    path.write_bytes("".join(chunks).encode("utf-8"))
+    falls = [i for i in range(1, len(records)) if records[i][0] < records[i - 1][0]]
+    if not falls:
+        assert _rising(path) == records
+        return
+    i = falls[0]
+    with pytest.raises(ValueError) as error:
+        _rising(path)
+    assert str(error.value) == (f"{path}:{starts[i]}: field 'key' is {records[i][0]}, not past "
+                                f"the {records[i - 1][0]} of line {starts[i - 1]}")
 
 
-def test_iter_records_by_key_refuses_a_repeated_key_naming_both_lines(tmp_path) -> None:
+def test_iter_records_rising_refuses_a_repeated_key_naming_both_lines(tmp_path) -> None:
     path = tmp_path / "r.jsonl"
-    path.write_text('{"key":9,"text":""}\n{"key":4,"text":""}\n\n{"text":"","key":9}\n'
-                    '{"key":4,"text":""}\n')
-    with pytest.raises(ValueError, match=f"^{path}:4: field 'key' repeats 9 of line 1$"):
-        _by_key(path)
+    path.write_text('{"key":4,"text":""}\n{"key":9,"text":""}\n\n{"text":"","key":4}\n')
+    with pytest.raises(ValueError, match=f"^{path}:4: field 'key' repeats 4 of line 1$"):
+        _rising(path)
 
 
 @pytest.mark.parametrize("line, error", [
-    ('{"key":2,"key":1,"text":""}', "field 'key' is given twice"),
     ('{"key":2}', "missing field 'text'"),
     ('{"key":2.5,"text":""}', "field 'key' must be an integer, not 2.5"),
     ('{"key":[2,"text":""}', "bad JSON record"),
+    ('{"key":3,"text":""}', "field 'key' repeats 3 of line 1"),
+    ('{"key":2,"text":""}', "field 'key' is 2, not past the 3 of line 1"),
 ])
-def test_iter_records_by_key_names_a_bad_line(tmp_path, line, error) -> None:
+def test_iter_records_rising_names_a_bad_line(tmp_path, line, error) -> None:
     path = tmp_path / "r.jsonl"
     path.write_text(f'{{"key":3,"text":""}}\n{line}\n')
     with pytest.raises(ValueError, match=f"^{path}:2: {error}"):
-        _by_key(path)
+        _rising(path)
+
+
+# text as a body holds it: bytes of any kind, each that is no UTF-8 decoded to U+DC80-U+DCFF
+_BODY_TEXT = st.binary(max_size=12).map(lambda raw: raw.decode("utf-8", "surrogateescape"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=st.dictionaries(_BODY_TEXT, st.lists(_BODY_TEXT | st.text(max_size=4),
+                                                   max_size=4), max_size=3))
+def test_dump_line_writes_every_byte_a_string_stands_for(tmp_path_factory, record) -> None:
+    line = dump_line(record)
+    assert json.loads(line) == record
+    path = tmp_path_factory.mktemp("jsonl") / "r.jsonl"
+    assert write_jsonl(path, [record], dict) == 1
+    assert list(read_jsonl(path)) == [record]
 
 
 def test_write_jsonl_leaves_the_old_file_and_no_tmp_file_when_records_raise(tmp_path) -> None:

@@ -103,9 +103,43 @@ def test_bench_pairs_summarize(tmp_path) -> None:
     assert found["change"] == {"median": 20.0, "q1": change[0], "q3": change[2], "runs": change}
     assert (found["change_better_pairs"], found["tied_pairs"]) == (1, 1)
     assert found["median_ratio"] == 1.0
+    assert (found["gain_shown"], found["bound"]) == (False, "unresolved")
     held = summary["held_out"]["long-repeat-s3"]
     assert held["seed"] == 3 and held["pairs"] == 1
     assert held["metrics"][metric["name"]]["median_ratio"] == 1.25
+
+
+_PARENT = [98.0, 99.0, 100.0, 101.0, 102.0, 100.0, 99.0, 101.0, 100.0, 100.0]
+_WIDE = [60.0 + 10 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("parent, change, gain_shown, bound", [
+    (_PARENT, [v + 10 for v in _PARENT], True, "within"),
+    # ties count for neither side: 8 wins of 10
+    (_PARENT, [v + 10 for v in _PARENT[:8]] + _PARENT[8:], False, "within"),
+    # better in 10 of 10 pairs, but by less than the parent's quartile distance
+    (_PARENT, [v + 1 for v in _PARENT], False, "within"),
+    (_PARENT, [v - 20 for v in _PARENT], False, "within"),
+    (_PARENT, [v - 30 for v in _PARENT], False, "worse"),
+    (_PARENT, [60.0, 140.0] * 5, False, "unresolved"),
+    (_WIDE, [v - 5 for v in _WIDE], False, "unresolved"),
+    # every change run beats every parent run, however wide the spread
+    (_WIDE, [v + 200 for v in _WIDE], True, "within"),
+], ids=["gain", "ties", "small-gain", "small-loss", "worse", "change-spread", "parent-spread",
+        "clear-gain"])
+def test_bench_pairs_summarize_verdicts(tmp_path, parent, change, gain_shown, bound) -> None:
+    """Cases around a median of 100 with a bound of 0.25, mirrored when lower is better."""
+    metric = bench_pairs.BENCHMARK["end_to_end"][0]
+    assert metric["bound"] == 0.25
+    if metric["better"] == "lower":
+        parent, change = [400 - v for v in parent], [400 - v for v in change]
+    _runs(tmp_path, "long-repeat-s1.parent.jsonl", parent)
+    _runs(tmp_path, "long-repeat-s1.change.jsonl", change)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["summarize", "--runs", str(tmp_path), "--out", str(out),
+                             "--parent-commit", "abc1234"]) == 0
+    found = json.loads(out.read_text())["workloads"]["long-repeat"]["metrics"][metric["name"]]
+    assert (found["gain_shown"], found["bound"]) == (gain_shown, bound)
 
 
 def test_bench_pairs_summarize_refuses_unpaired_runs(tmp_path) -> None:
