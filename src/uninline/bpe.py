@@ -23,7 +23,13 @@ ascending array of its positions. A merge with few sites visits them
 one by one; one with many is applied as array operations (stale sites
 and every other site of an overlapping chain dropped, lost pairs
 tallied per pair, born pairs read beside the sites and grouped by a
-stable sort), which give the same stream and counts. The merges,
+stable sort), which give the same stream and counts. Both follow one
+chained-site rule: a site that starts where the site merged before it
+ended has the new id on its left, loses no pair there, and the pair
+(new, a) the earlier site would have made on its right never forms.
+Every other born pair stays live, since a later site writes only at or
+after its own start, so each born pair's positions are exactly its
+live sites, with no check after the merge. The merges,
 their order and their tie-breaks equal those of recounting every pair
 for each merge, which `tests/test_bpe.py` keeps as the oracle.
 
@@ -262,31 +268,54 @@ def _merge_loop(toks: array, width: list[int], at, pair, new: int, counts, sites
     """Merge `pair` into `new` at each live site of `at`, left to right.
 
     Adjusts the counts of the pairs beside each site and returns the
-    pairs born with `new` that reach the floor, with their live sites.
+    pairs born with `new` that reach the floor, with their sites.
+
+    A site that starts where the site merged before it ended (a chained
+    site) has that site's `new` on its left, and the pair (new, a) the
+    earlier site recorded on its right never forms: it is dropped at
+    once, and no pair is lost on the left, since no pair holding `new`
+    is counted yet. Every other born pair stays live: a later site
+    writes only at or after its own start. So each candidate list holds
+    live sites only, as `_merge_array`'s `fresh` mask keeps them.
     """
     a, b = pair
     wa, wb = width[a], width[b]
     born: dict[tuple[int, int], list[int]] = {}
+    end = -1  # where the last site merged ends
     for i in at.tolist() if isinstance(at, np.ndarray) else at:
         j = i + wa
         if toks[i] != a or toks[j] != b:
             continue  # an earlier merge, or site of this one, took a token of it
-        p = i - 1 if toks[i - 1] > -2 else -3 - toks[i - 1]  # a longer token's back-pointer
         k = j + wb
-        left, right = toks[p], toks[k]
-        _lose(counts, sites, (left, a), 1, floor)
-        _lose(counts, sites, (b, right), 1, floor)
+        right = toks[k]
+        if i == end:
+            p, left = i - wa - wb, new
+            born[new, a].pop()
+        else:
+            p = i - 1 if toks[i - 1] > -2 else -3 - toks[i - 1]  # a longer token's back-pointer
+            left = toks[p]
+            c = counts.get((left, a))  # `_lose` inline: one call per site costs more
+            if c is not None:
+                if c > floor:
+                    counts[left, a] = c - 1
+                else:
+                    del counts[left, a]
+                    sites.pop((left, a), None)
+        c = counts.get((b, right))
+        if c is not None:
+            if c > floor:
+                counts[b, right] = c - 1
+            else:
+                del counts[b, right]
+                sites.pop((b, right), None)
         toks[i], toks[j], toks[k - 1] = new, -2, -3 - i  # j is k - 1 when b is a byte
+        end = k
         if left >= 0:
             born.setdefault((left, new), []).append(p)
         if right >= 0:
             born.setdefault((new, right), []).append(i)
-    out = []
-    for (x, y), candidates in born.items():
-        live = array("i", [q for q in candidates if toks[q] == x and toks[q + width[x]] == y])
-        if len(live) >= floor:
-            out.append(((x, y), live))
-    return out
+    return [(born_pair, array("i", live)) for born_pair, live in born.items()
+            if len(live) >= floor]
 
 
 def _merge_array(toks: array, width: list[int], at, pair, new: int, counts, sites, floor: int):

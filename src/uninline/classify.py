@@ -55,7 +55,7 @@ import numpy as np
 
 from .bpe import BpeVocab, encode, encode_each, encode_spans
 from .jsonl import (COUNT, INTEGER, LIST, NUMBER, STRING, STRINGS, Kind, atomic_write,
-                    check, dump_line, field)
+                    check, check_text, check_texts, dump_line, field)
 from .rng import doubles
 from .windows import EMPTY, WindowInstance
 
@@ -426,7 +426,7 @@ class ExternalModelClient:
                     raise ExternalProtocolError(
                         f"response id {reply['id']!r} does not match request {rid}"
                     )
-                label = check("label", reply.get("label"), STRING)
+                label = check_text("label", check("label", reply.get("label"), STRING))
                 if label != EMPTY and self._known is not None and label not in self._known:
                     log.warning("unknown label %r from endpoint; recorded as EMPTY", label)
                     label = EMPTY
@@ -552,7 +552,7 @@ def _model_from_json(obj: dict, vocab: BpeVocab | None) -> PriorModel | TokenSta
     kind = obj.get("kind")
     if kind not in ("prior", "token_stats"):
         raise ValueError(f"unknown model kind {kind!r}")
-    labels = field(obj, "labels", STRINGS)
+    labels = check_texts("labels", field(obj, "labels", STRINGS))
     if len(set(labels)) != len(labels):
         raise ValueError("field 'labels' must be a list of distinct strings")
     if kind == "prior":

@@ -105,6 +105,11 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    """Carve each file into function records and write them, one file's at a time.
+
+    The paths are sorted and each file's records come in id order, so
+    the records are written in id order as they are made.
+    """
     paths = sorted(args.paths)
     spelled: dict[str, str] = {}  # real path -> how it was first given
     for path in paths:
@@ -113,13 +118,11 @@ def _cmd_split(args) -> int:
             also = "" if spelled[real] == path else f", also as {spelled[real]}"
             raise ValueError(f"{path}: given twice{also}")
         spelled[real] = path
-    records = []
-    for path in paths:
-        source = corpus.SourceFile(path, Path(path).read_bytes(), corpus.Language.PSEUDO_C)
-        records += corpus.split_functions(source)
-    corpus.write_functions(args.out, records)
+    count = corpus.write_functions(args.out, (
+        record for path in paths for record in corpus.split_functions(
+            corpus.SourceFile(path, Path(path).read_bytes(), corpus.Language.PSEUDO_C))))
     _record_run("split", args, paths, [args.out])
-    print(f"{len(records)} functions from {len(paths)} files -> {args.out}")
+    print(f"{count} functions from {len(paths)} files -> {args.out}")
     return 0
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .combine import RecoveryMultiset
 from .corpus import FunctionId
-from .jsonl import STRINGS, field, read_records, write_jsonl
+from .jsonl import STRINGS, check_texts, field, read_records, write_jsonl
 from .windows import EMPTY
 
 
@@ -70,7 +70,8 @@ class LabelSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabelSequence":
-        return cls(FunctionId.from_json(obj["func_id"]), tuple(field(obj, "labels", STRINGS)))
+        return cls(FunctionId.from_json(obj["func_id"]),
+                   tuple(check_texts("labels", field(obj, "labels", STRINGS))))
 
 
 def denoise(labels: Sequence[str], neighbor_span: int) -> list[str]:

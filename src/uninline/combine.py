@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import FunctionId
-from .jsonl import COUNT, STRING, Kind, check, field, read_records, write_jsonl
+from .jsonl import (COUNT, STRING, Kind, check, check_text, check_texts, field, read_records,
+                    write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -81,8 +82,9 @@ class FunctionRecovery:
         optlevel = obj.get("optlevel")
         return cls(
             func_id=FunctionId.from_json(obj["func_id"]),
-            counts=RecoveryMultiset(field(obj, "counts", _COUNTS)),
-            optlevel=None if optlevel is None else check("optlevel", optlevel, STRING),
+            counts=RecoveryMultiset(check_texts("counts", field(obj, "counts", _COUNTS))),
+            optlevel=None if optlevel is None else check_text(
+                "optlevel", check("optlevel", optlevel, STRING)),
         )
 
 

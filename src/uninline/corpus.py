@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import ctext
 from . import jsonl
-from .jsonl import BOOL, COUNT, INTEGER, LIST, STRING, STRINGS, Kind, check
+from .jsonl import (BOOL, COUNT, INTEGER, LIST, STRING, STRINGS, Kind, check, check_text,
+                    check_texts)
 
 log = logging.getLogger(__name__)
 
@@ -91,12 +92,18 @@ class FunctionId(NamedTuple):
             check("path", path, STRING), check("name", name, STRING)
             check("ordinal", ordinal, INTEGER)
         # interned: the ids of one file's bodies, held together, share one path string
-        return cls(sys.intern(path), name, ordinal)
+        return cls(sys.intern(check_text("path", path)), check_text("name", name), ordinal)
 
 
 _LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
     LIST.test(p) and len(p) == 2 and STRING.test(p[0]) and INTEGER.test(p[1]) for p in v),
     "a list of [name, line] pairs")
+
+
+def _label_pairs(pairs: list) -> tuple[tuple[str, int], ...]:
+    """`true_labels` as (name, anchor) tuples, each name checked by `jsonl.check_text`."""
+    check_texts("true_labels", [name for name, _ in pairs])
+    return tuple(map(tuple, pairs))
 
 
 def _join_lines(lines: Sequence[str]) -> str | None:
@@ -200,8 +207,9 @@ class DecompiledFunction:
         return cls(
             id=FunctionId.from_json(obj["id"]),
             lines=obj["lines"],
-            true_labels=tuple(map(tuple, jsonl.field(obj, "true_labels", _LABEL_PAIRS))),
-            recovered=tuple(sorted(jsonl.field(obj, "recovered", STRINGS))),
+            true_labels=_label_pairs(jsonl.field(obj, "true_labels", _LABEL_PAIRS)),
+            recovered=tuple(sorted(check_texts("recovered", jsonl.field(obj, "recovered",
+                                                                        STRINGS)))),
             truncated=check("truncated", obj.get("truncated", False), BOOL),
         )
 

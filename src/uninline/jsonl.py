@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 T = TypeVar("T")
+I = TypeVar("I", bound=Iterable[str])
 
 
 class Kind(NamedTuple):
@@ -55,6 +56,16 @@ def check_text(name: str, text: str) -> str:
         raise ValueError(f"field {name!r} holds \\u{ord(bad.group()):04x}, "
                          "a surrogate that stands for no byte")
     return text
+
+
+def check_texts(name: str, texts: I) -> I:
+    """`texts`, strings or a mapping keyed by them, if `check_text` passes each string.
+
+    They are checked as one joined text: a surrogate stays one code point
+    beside any other, so the join holds those of each string and no more.
+    """
+    check_text(name, "".join(texts))
+    return texts
 
 
 def check(name: str, value: T, kind: Kind) -> T:

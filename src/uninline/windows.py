@@ -67,7 +67,7 @@ class WindowInstance:
             func_id=FunctionId.from_json(obj["func_id"]),
             start=field(obj, "start", INTEGER),
             text=check_text("text", field(obj, "text", STRING)),
-            label=field(obj, "label", STRING),
+            label=check_text("label", field(obj, "label", STRING)),
         )
 
 

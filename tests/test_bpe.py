@@ -189,6 +189,68 @@ def test_array_step_matches_loop_oracle(corpus, limit, min_frequency, array_site
     assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
 
 
+def _recheck_merge_loop(toks, width, at, pair, new, counts, sites, floor):
+    """The merge loop before it applied the chained-site rule: it kept every
+    born candidate and checked each one's liveness after the loop."""
+    a, b = pair
+    wa, wb = width[a], width[b]
+    born = {}
+    for i in at.tolist() if isinstance(at, np.ndarray) else at:
+        j = i + wa
+        if toks[i] != a or toks[j] != b:
+            continue
+        p = i - 1 if toks[i - 1] > -2 else -3 - toks[i - 1]
+        k = j + wb
+        left, right = toks[p], toks[k]
+        bpe._lose(counts, sites, (left, a), 1, floor)
+        bpe._lose(counts, sites, (b, right), 1, floor)
+        toks[i], toks[j], toks[k - 1] = new, -2, -3 - i
+        if left >= 0:
+            born.setdefault((left, new), []).append(p)
+        if right >= 0:
+            born.setdefault((new, right), []).append(i)
+    out = []
+    for (x, y), candidates in born.items():
+        live = array("i", [q for q in candidates if toks[q] == x and toks[q + width[x]] == y])
+        if len(live) >= floor:
+            out.append(((x, y), live))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=st.lists(st.one_of(_RUN_DOC, st.sampled_from([b"", b"a", b"b", b"aab"])),
+                       max_size=6),
+       limit=st.integers(257, 290), min_frequency=st.integers(1, 3),
+       array_sites=st.sampled_from([bpe._ARRAY_MERGE_SITES, 10**9]))
+@example(corpus=[b"aaaaa", b"ababa\nab"], limit=290, min_frequency=1, array_sites=10**9)
+@example(corpus=[b"ab" * 70 + b"a", b"a" * 9, b"b\na"], limit=290, min_frequency=2,
+         array_sites=10**9)
+def test_merge_loop_matches_the_loop_that_rechecks_liveness(corpus, limit, min_frequency,
+                                                            array_sites) -> None:
+    """Each merge the loop applies returns the born pairs, with the same site
+    arrays in the same order, and leaves the stream, counts and sites as the
+    loop that kept dead candidates and dropped them after the loop."""
+    merge_loop = bpe._merge_loop
+
+    def checked(toks, width, at, pair, new, counts, sites, floor):
+        expected_toks, expected_counts, expected_sites = array("i", toks), dict(counts), \
+            dict(sites)
+        expected = _recheck_merge_loop(expected_toks, width, at, pair, new, expected_counts,
+                                       expected_sites, floor)
+        out = merge_loop(toks, width, at, pair, new, counts, sites, floor)
+        assert [(born, list(live)) for born, live in out] \
+            == [(born, list(live)) for born, live in expected]
+        assert toks == expected_toks
+        assert counts == expected_counts
+        assert sites == expected_sites
+        return out
+
+    with mock.patch.object(bpe, "_merge_loop", checked), \
+            mock.patch.object(bpe, "_ARRAY_MERGE_SITES", array_sites):
+        vocab = train_bpe(corpus, vocab_size=limit, min_frequency=min_frequency)
+    assert vocab.merges == _loop_merges(corpus, limit, min_frequency)
+
+
 def test_array_step_matches_loop_oracle_over_thousands_of_sites() -> None:
     corpus = [b"a" * 4097, b"", b"ab" * 3001 + b"a", b"b", b"b" * 3000 + b"ab" * 999,
               b"aab" * 1500, b"a"]

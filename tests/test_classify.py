@@ -520,6 +520,17 @@ def test_external_rejects_a_reply_id_that_is_no_json_integer(tmp_path, reply_ids
             client.predict([_w("a"), _w("b")])
 
 
+@pytest.mark.parametrize("known", [None, ["memset"]], ids=["any-label", "known-labels"])
+def test_external_rejects_a_label_that_holds_a_surrogate_for_no_byte(tmp_path, known) -> None:
+    # no labels file could hold it, so it is refused, not written or taken as unknown
+    vocab = train_bpe(["abab"], vocab_size=257, min_frequency=2)
+    code = SERVER_REPLY_IDS.replace('"label": ""', '"label": "f\\\\udfff"')
+    code = "REPLY_IDS = ['0']\n" + code
+    with spawn_external(_server(tmp_path, code), vocab, known) as client:
+        with pytest.raises(ExternalProtocolError, match=r"field 'label' holds \\udfff"):
+            client.predict([_w("a")])
+
+
 # copies each line it reads to the file argv[1], and only then answers it with the
 # next of argv[2:]: it cannot answer a request before the client has sent it
 SERVER_COPY_TO_FILE = """\

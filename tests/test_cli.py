@@ -839,6 +839,50 @@ def _check_ill_typed_model(tmp_path, capsys, model, field) -> None:
     assert not out.exists()
 
 
+_NO_BYTE = "\ud800"  # json.dumps writes it as the escape \ud800
+
+
+@pytest.mark.parametrize("stage, good, bad, field", [
+    ("reconcile", FUNCTION, {**FUNCTION, "id": ["b.c", "g" + _NO_BYTE, 0]}, "name"),
+    ("reconcile", FUNCTION, {**FUNCTION, "id": ["b" + _NO_BYTE, "g", 0]}, "path"),
+    ("windows", FUNCTION, {**FUNCTION, "id": _OTHER_ID, "true_labels": [["f" + _NO_BYTE, 1]]},
+     "true_labels"),
+    ("windows", FUNCTION, {**FUNCTION, "id": _OTHER_ID, "recovered": ["memset", _NO_BYTE]},
+     "recovered"),
+    ("rebalance", WINDOW, {**WINDOW, "label": "free" + _NO_BYTE}, "label"),
+    ("coalesce", LABELS, {**LABELS, "func_id": _OTHER_ID, "labels": ["", _NO_BYTE]}, "labels"),
+    ("coalesce", LABELS, {**LABELS, "func_id": ["b.c", _NO_BYTE, 0]}, "name"),
+    ("combine", RECOVERY, {**RECOVERY, "func_id": _OTHER_ID, "counts": {_NO_BYTE: 1}},
+     "counts"),
+    ("combine", RECOVERY, {**RECOVERY, "func_id": _OTHER_ID, "optlevel": _NO_BYTE},
+     "optlevel"),
+], ids=["reconcile-name", "reconcile-path", "windows-true_labels", "windows-recovered",
+        "rebalance-label", "coalesce-labels", "coalesce-name", "combine-counts",
+        "combine-optlevel"])
+def test_a_name_holding_a_surrogate_for_no_byte_exits_2_at_its_line(tmp_path, capsys, stage,
+                                                                    good, bad, field) -> None:
+    """Every string a stage writes again is refused on read if it could not be written."""
+    path, out, other = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "o.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("memset\n")
+    other.write_text(json.dumps(RECOVERY) + "\n")
+    argv = {"reconcile": ["--functions", path, "--targets", targets, "--out", out],
+            "windows": ["--functions", path, "--out", out],
+            "rebalance": ["--windows", path, "--out", out],
+            "coalesce": ["--labels", path, "--out", out],
+            "combine": ["--model", path, "--decompiler", other, "--out", out]}[stage]
+    assert cli.run([stage, *map(str, argv)]) == 2
+    assert capsys.readouterr().err == (
+        f"uninline {stage}: error: {path}:2: field '{field}' holds \\ud800, "
+        "a surrogate that stands for no byte\n")
+    assert not out.exists()
+
+
+def test_a_model_label_holding_a_surrogate_for_no_byte_is_refused(tmp_path, capsys) -> None:
+    _check_ill_typed_model(tmp_path, capsys, {**PRIOR, "labels": ["", _NO_BYTE]}, "labels")
+
+
 @pytest.mark.parametrize("stage, line", [
     ("rebalance", "[1, 2]"),
     ("coalesce", '"x"'),
@@ -1269,6 +1313,22 @@ def test_windows_peak_memory_does_not_grow_with_its_input(tmp_path) -> None:
         path, out = tmp_path / f"f{count}.jsonl", tmp_path / f"w{count}.jsonl"
         _write_records(path, _function_records(count))
         peaks.append(_traced_peak(["windows", "--functions", str(path), "--out", str(out)]))
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_split_peak_memory_does_not_grow_with_its_file_count(tmp_path) -> None:
+    """split holds one file's text and records at a time, not every file's."""
+    peaks = []
+    for count in (10, 100):
+        folder = tmp_path / f"c{count}"
+        folder.mkdir()
+        for k in range(count):
+            (folder / f"m{k:03d}.c").write_text("".join(
+                f"int f{k}_{n}(int p)\n{{\n" + "".join(
+                    f"  iVar{i} = iVar{i} * {n} + 0x{i * k:x};\n" for i in range(20)) + "}\n"
+                for n in range(8)))
+        paths = sorted(str(path) for path in folder.glob("*.c"))
+        peaks.append(_traced_peak(["split", "--out", str(tmp_path / f"f{count}.jsonl"), *paths]))
     assert peaks[1] < 2 * peaks[0], peaks
 
 

@@ -148,3 +148,36 @@ def test_bench_pairs_summarize_refuses_unpaired_runs(tmp_path) -> None:
     with pytest.raises(ValueError, match="2 parent runs against 1 change runs"):
         bench_pairs.main(["summarize", "--runs", str(tmp_path), "--out",
                           str(tmp_path / "BENCH.json"), "--parent-commit", "abc1234"])
+
+
+def _train_ab(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "train_ab.py"), str(parent),
+                           str(change), "--workload", "long-repeat", "--rounds", "2"],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_train_ab_times_one_checkout_against_itself() -> None:
+    done = _train_ab(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()
+    assert header.split() == ["workload", "scale", "limit", "bytes", "merges", "parent", "ms",
+                              "change", "ms", "ratio", "merges"]
+    name, scale, limit, size, merges, parent_ms, change_ms, ratio, equal = row.split()
+    assert (name, scale, limit, equal) == ("long-repeat", "1", "288", "equal")
+    assert int(size) > 0 and int(merges) > 0
+    assert float(parent_ms) > 0 and float(change_ms) > 0 and float(ratio) > 0
+
+
+def test_train_ab_exits_1_when_the_merges_differ(tmp_path) -> None:
+    """A trainer that drops its last merge is caught, whatever its speed."""
+    package = tmp_path / "src" / "uninline"
+    package.mkdir(parents=True)
+    for name in ("bpe.py", "jsonl.py"):
+        (package / name).write_text((ROOT / "src" / "uninline" / name).read_text())
+    source = (package / "bpe.py").read_text()
+    assert source.count("return BpeVocab(tuple(merges),") == 1
+    (package / "bpe.py").write_text(
+        source.replace("return BpeVocab(tuple(merges),", "return BpeVocab(tuple(merges[:-1]),"))
+    done = _train_ab(ROOT, tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines()[1].split()[-1] == "DIFFER"
