@@ -273,15 +273,19 @@ def _merge_loop(toks: array, width: list[int], at, pair, new: int, counts, sites
     A site that starts where the site merged before it ended (a chained
     site) has that site's `new` on its left, and the pair (new, a) the
     earlier site recorded on its right never forms: it is dropped at
-    once, and no pair is lost on the left, since no pair holding `new`
-    is counted yet. Every other born pair stays live: a later site
-    writes only at or after its own start. So each candidate list holds
-    live sites only, as `_merge_array`'s `fresh` mask keeps them.
+    once, and no pair is lost on the left. Every other born pair stays
+    live: a later site writes only at or after its own start. So each
+    born pair's list holds live sites only, as `_merge_array`'s `fresh`
+    mask keeps them, and the lost pairs are tallied from those lists
+    after the loop, one decrement per born pair: each site of (x, new)
+    with x != new lost (x, a), and each site of (new, y) lost (b, y), as
+    did each site whose (new, a) a chained site dropped.
     """
     a, b = pair
     wa, wb = width[a], width[b]
     born: dict[tuple[int, int], list[int]] = {}
     end = -1  # where the last site merged ends
+    chained = 0
     for i in at.tolist() if isinstance(at, np.ndarray) else at:
         j = i + wa
         if toks[i] != a or toks[j] != b:
@@ -291,31 +295,25 @@ def _merge_loop(toks: array, width: list[int], at, pair, new: int, counts, sites
         if i == end:
             p, left = i - wa - wb, new
             born[new, a].pop()
+            chained += 1
         else:
             p = i - 1 if toks[i - 1] > -2 else -3 - toks[i - 1]  # a longer token's back-pointer
             left = toks[p]
-            c = counts.get((left, a))  # `_lose` inline: one call per site costs more
-            if c is not None:
-                if c > floor:
-                    counts[left, a] = c - 1
-                else:
-                    del counts[left, a]
-                    sites.pop((left, a), None)
-        c = counts.get((b, right))
-        if c is not None:
-            if c > floor:
-                counts[b, right] = c - 1
-            else:
-                del counts[b, right]
-                sites.pop((b, right), None)
         toks[i], toks[j], toks[k - 1] = new, -2, -3 - i  # j is k - 1 when b is a byte
         end = k
         if left >= 0:
             born.setdefault((left, new), []).append(p)
         if right >= 0:
             born.setdefault((new, right), []).append(i)
-    return [(born_pair, array("i", live)) for born_pair, live in born.items()
-            if len(live) >= floor]
+    out = []
+    for (x, y), live in born.items():
+        if x != new:
+            _lose(counts, sites, (x, a), len(live), floor)
+        elif y != new:
+            _lose(counts, sites, (b, y), len(live) + chained * (y == a), floor)
+        if len(live) >= floor:
+            out.append(((x, y), array("i", live)))
+    return out
 
 
 def _merge_array(toks: array, width: list[int], at, pair, new: int, counts, sites, floor: int):
