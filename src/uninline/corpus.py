@@ -87,12 +87,15 @@ class FunctionId(NamedTuple):
         if not isinstance(obj, (list, tuple)) or len(obj) != 3:
             raise ValueError(f"function id must be [path, name, ordinal], not {obj!r}")
         path, name, ordinal = obj
-        # the checks run only to name what is wrong, so the common case costs three type tests
-        if not (type(path) is str and type(name) is str and type(ordinal) is int):
+        # the checks run only to name what is wrong, so the common case costs three type
+        # tests and two `isascii`
+        if not (type(path) is str and type(name) is str and type(ordinal) is int
+                and path.isascii() and name.isascii()):
             check("path", path, STRING), check("name", name, STRING)
             check("ordinal", ordinal, INTEGER)
+            check_text("path", path), check_text("name", name)
         # interned: the ids of one file's bodies, held together, share one path string
-        return cls(sys.intern(check_text("path", path)), check_text("name", name), ordinal)
+        return cls(sys.intern(path), name, ordinal)
 
 
 _LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
@@ -102,7 +105,8 @@ _LABEL_PAIRS = Kind(lambda v: LIST.test(v) and all(
 
 def _label_pairs(pairs: list) -> tuple[tuple[str, int], ...]:
     """`true_labels` as (name, anchor) tuples, each name checked by `jsonl.check_text`."""
-    check_texts("true_labels", [name for name, _ in pairs])
+    if pairs:
+        check_texts("true_labels", [name for name, _ in pairs])
     return tuple(map(tuple, pairs))
 
 

@@ -64,7 +64,8 @@ def check_texts(name: str, texts: I) -> I:
     They are checked as one joined text: a surrogate stays one code point
     beside any other, so the join holds those of each string and no more.
     """
-    check_text(name, "".join(texts))
+    if not (joined := "".join(texts)).isascii():
+        check_text(name, joined)
     return texts
 
 
