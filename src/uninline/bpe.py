@@ -21,17 +21,19 @@ so one array scan for the two bytes side by side finds the live sites
 of a byte pair when it is merged. A pair born from a merge keeps the
 ascending array of its positions. A merge with few sites visits them
 one by one; one with many is applied as array operations (stale sites
-and every other site of an overlapping chain dropped, lost pairs
-tallied per pair, born pairs read beside the sites and grouped by a
-stable sort), which give the same stream and counts. Both follow one
-chained-site rule: a site that starts where the site merged before it
-ended has the new id on its left, loses no pair there, and the pair
-(new, a) the earlier site would have made on its right never forms.
-Every other born pair stays live, since a later site writes only at or
-after its own start, so each born pair's positions are exactly its
-live sites, with no check after the merge. The merges,
-their order and their tie-breaks equal those of recounting every pair
-for each merge, which `tests/test_bpe.py` keeps as the oracle.
+and every other site of an overlapping chain dropped, born pairs read
+beside the sites and grouped by a stable sort), which give the same
+stream and counts. Both follow one chained-site rule: a site that
+starts where the site merged before it ended has the new id on its
+left, loses no pair there, and the pair (new, a) the earlier site would
+have made on its right never forms. Every other born pair stays live,
+since a later site writes only at or after its own start, so each born
+pair's positions are exactly its live sites, with no check after the
+merge; and each site beside a born pair lost the pair its neighbour
+made with a or b, so both tally the lost pairs from the born ones, one
+decrement per pair. The merges, their order and their tie-breaks equal
+those of recounting every pair for each merge, which `tests/test_bpe.py`
+keeps as the oracle.
 
 Encoding never rescans. No token spans two adjacent bytes that sit side
 by side in no token, so the text is cut between every such pair and
@@ -78,7 +80,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -323,10 +324,12 @@ def _merge_array(toks: array, width: list[int], at, pair, new: int, counts, site
     pair (a, a) every other one, from the first, as the loop would skip
     them. A site whose left neighbour the previous site merged has
     `new` on its left and loses no pair there; the pair it would lose
-    is the previous site's right one. Lost pairs are tallied per pair.
-    Every other site's left neighbour is untouched by the merge, so the
-    pairs born there hold the ids that lost theirs. Those on the right
-    are read off the merged stream, with (new, new) among them.
+    is the previous site's right one. Every other site's left neighbour
+    is untouched by the merge, so the pairs born there hold the ids that
+    lost theirs. Those on the right are read off the merged stream, with
+    (new, new) where a chained site starts, whose earlier site lost (b,
+    a). So, as in the loop, the lost pairs are tallied from the born
+    ones: one count per id beside the sites, one decrement per pair.
     """
     T = np.frombuffer(toks, dtype=np.intc)
     a, b = pair
@@ -347,31 +350,25 @@ def _merge_array(toks: array, width: list[int], at, pair, new: int, counts, site
     fresh[1:] = before[1:] != right[:-1]
     before = before[fresh]
     left = T[before]
-    for x, by in _tally(left):
-        _lose(counts, sites, (x, a), by, floor)
-    for y, by in _tally(T[after]):
-        _lose(counts, sites, (b, y), by, floor)
     T[at] = new
     T[right] = -2
     T[after - 1] = -3 - at
-    out = [((x, new), live) for x, live in _group(left, before, floor)]
-    out += [((new, y), live) for y, live in _group(T[after], at, floor)]
+    out = []
+    for x, by, live in _group(left, before, floor):
+        _lose(counts, sites, (x, a), by, floor)
+        if live is not None:
+            out.append(((x, new), live))
+    for y, by, live in _group(T[after], at, floor):
+        _lose(counts, sites, (b, a if y == new else y), by, floor)  # a chained site reads new
+        if live is not None:
+            out.append(((new, y), live))
     return out
 
 
-def _tally(ids: np.ndarray):
-    """(id, occurrences) for each token id (>= 0) in `ids`."""
-    ids = ids[ids >= 0]
-    if not len(ids):
-        return []
-    tally = np.bincount(ids)
-    hit = np.flatnonzero(tally)
-    return zip(hit.tolist(), tally[hit].tolist())
-
-
-def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, array]]:
-    """Each token id (>= 0) that occurs `floor` times in `ids`, with its
-    positions from the ascending `where`, in ascending id order.
+def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, int, array | None]]:
+    """Each token id (>= 0) in `ids`, in ascending order, with its
+    occurrences and, if they reach `floor`, its positions from the
+    ascending `where` (None otherwise).
 
     A stable sort by id keeps each group's positions ascending. The
     groups come out in id order, not in order of first occurrence; the
@@ -383,15 +380,19 @@ def _group(ids: np.ndarray, where: np.ndarray, floor: int) -> list[tuple[int, ar
     if not len(ids):
         return []
     tally = np.bincount(ids)
-    hit = np.flatnonzero(tally >= floor)
-    if not len(hit):
-        return []
+    seen = np.flatnonzero(tally)
     kept = tally[ids] >= floor
     ids, where = ids[kept], where[kept]
     where = where[np.argsort(ids, kind="stable")].astype(np.intc, copy=False)
-    sizes = tally[hit].tolist()
-    return [(x, array("i", where[end - n:end].tobytes()))
-            for x, n, end in zip(hit.tolist(), sizes, accumulate(sizes))]
+    out = []
+    end = 0
+    for x, n in zip(seen.tolist(), tally[seen].tolist()):
+        if n < floor:
+            out.append((x, n, None))
+        else:
+            out.append((x, n, array("i", where[end:end + n].tobytes())))
+            end += n
+    return out
 
 
 # Byte pairs are counted this many stream positions at a time, so the

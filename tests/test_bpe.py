@@ -315,7 +315,7 @@ def _loop_group(ids, where, floor):
     for x, q in zip(ids, where):
         if x >= 0 and tally[x] >= floor:
             groups.setdefault(x, []).append(q)
-    return sorted(groups.items())
+    return [(x, tally[x], groups.get(x)) for x in sorted(tally)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,7 +326,8 @@ def _loop_group(ids, where, floor):
 def test_group_matches_loop_oracle(ids, floor) -> None:
     where = np.arange(0, 3 * len(ids), 3, dtype=np.intc)  # ascending, as the trainer's are
     groups = bpe._group(np.array(ids, dtype=np.intc), where, floor)
-    assert [(x, list(live)) for x, live in groups] == _loop_group(ids, where.tolist(), floor)
+    assert [(x, n, live and list(live)) for x, n, live in groups] \
+        == _loop_group(ids, where.tolist(), floor)
 
 
 # "ef" is merged fifth: the new token's left neighbours are "cd"'s id (257)
