@@ -24,13 +24,14 @@ import os
 import shlex
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
 from .jsonl import (NUMBER, STRING, Kind, append_jsonl, atomic_write, field, read_records,
-                    record_line, write_jsonl)
+                    write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -58,7 +59,12 @@ def _run_root() -> Path:
     return Path(os.environ.get(RUN_ROOT_ENV) or ".")
 
 
-def _record_run(command: str, args: argparse.Namespace, inputs: Sequence[str | Path],
+def _digests(inputs: Sequence[str | Path]) -> dict[str, str]:
+    """The digest of each input, taken before the stage writes: an output may be an input."""
+    return {str(p): _digest(p) for p in inputs}
+
+
+def _record_run(command: str, args: argparse.Namespace, inputs: dict[str, str],
                 outputs: Sequence[str | Path], seeds: dict | None = None) -> None:
     parameters = {
         k: v for k, v in sorted(vars(args).items())
@@ -67,7 +73,7 @@ def _record_run(command: str, args: argparse.Namespace, inputs: Sequence[str | P
     record = {
         "command": command,
         "parameters": parameters,
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": inputs,
         "outputs": [str(p) for p in outputs],
         "seeds": seeds or {},
         "version": __version__,
@@ -80,6 +86,7 @@ def _record_run(command: str, args: argparse.Namespace, inputs: Sequence[str | P
 def _cmd_inject(args) -> int:
     if args.array_size < 1:
         raise ValueError(f"--array-size must be at least 1, not {args.array_size}")
+    inputs = _digests([args.targets, *args.sources])
     targets = corpus.load_targets(args.targets)
     outputs = []
     for src_path in args.sources:
@@ -100,7 +107,7 @@ def _cmd_inject(args) -> int:
         atomic_write(plan_path, json.dumps(plan.as_json(), indent=1, sort_keys=True) + "\n")
         outputs += [out_path, plan_path]
         print(f"{src_path}: {len(plan.assignments)} call sites marked -> {out_path}")
-    _record_run("inject", args, [args.targets, *args.sources], outputs)
+    _record_run("inject", args, inputs, outputs)
     return 0
 
 
@@ -118,10 +125,11 @@ def _cmd_split(args) -> int:
             also = "" if spelled[real] == path else f", also as {spelled[real]}"
             raise ValueError(f"{path}: given twice{also}")
         spelled[real] = path
+    inputs = _digests(paths)
     count = corpus.write_functions(args.out, (
         record for path in paths for record in corpus.split_functions(
             corpus.SourceFile(path, Path(path).read_bytes(), corpus.Language.PSEUDO_C))))
-    _record_run("split", args, paths, [args.out])
+    _record_run("split", args, inputs, [args.out])
     print(f"{count} functions from {len(paths)} files -> {args.out}")
     return 0
 
@@ -132,6 +140,7 @@ def _cmd_reconcile(args) -> int:
     Each body's id and label names are kept for `--truth-out` and
     `--recovered-out`, which are written last.
     """
+    inputs = _digests([args.functions, args.targets])
     targets = corpus.load_targets(args.targets)
     kept = []  # (id, residual marker names, recovered call names) of each labeled body
 
@@ -150,7 +159,7 @@ def _cmd_reconcile(args) -> int:
                                          args.optlevel)
                 for body in kept))
             outputs.append(path)
-    _record_run("reconcile", args, [args.functions, args.targets], outputs)
+    _record_run("reconcile", args, inputs, outputs)
     residual = sum(len(names) for _, names, _ in kept)
     recovered = sum(len(names) for _, _, names in kept)
     print(f"{len(kept)} functions: {residual} inlined markers kept, {recovered} plain calls")
@@ -168,13 +177,14 @@ def _iter_bpe_documents(paths: Sequence[str], as_functions: bool):
 
 def _cmd_bpe_train(args) -> int:
     """Train on the inputs' texts; function records stream in a few at a time."""
+    inputs = _digests(args.inputs)
     vocab = bpe.train_bpe(
         _iter_bpe_documents(args.inputs, args.functions),
         vocab_size=args.vocab_size,
         min_frequency=args.min_frequency,
     )
     bpe.save_vocab(args.out, vocab)
-    _record_run("bpe-train", args, args.inputs, [args.out])
+    _record_run("bpe-train", args, inputs, [args.out])
     print(f"{len(vocab.merges)} merges learned ({vocab.size} tokens) -> {args.out}")
     return 0
 
@@ -182,6 +192,7 @@ def _cmd_bpe_train(args) -> int:
 def _cmd_windows(args) -> int:
     """Scan each body as it streams in, in id order, and write its windows."""
     spec = windows.WindowSpec(height=args.window_height, stride=args.stride)
+    inputs = _digests([args.functions])
     counts = Counter()
 
     def scanned():
@@ -192,7 +203,7 @@ def _cmd_windows(args) -> int:
                 yield w
 
     count = windows.write_windows(args.out, scanned())
-    _record_run("windows", args, [args.functions], [args.out])
+    _record_run("windows", args, inputs, [args.out])
     print(f"{count} windows from {counts['functions']} functions ({counts['labeled']} labeled)")
     return 0
 
@@ -204,10 +215,11 @@ def _seed(args) -> int:
 
 
 def _cmd_rebalance(args) -> int:
+    inputs = _digests([args.windows])
     pool = windows.read_windows(args.windows)
     kept = windows.rebalance(pool, args.discard_fraction, _seed(args))
     windows.write_windows(args.out, kept)
-    _record_run("rebalance", args, [args.windows], [args.out], seeds={"seed": args.seed})
+    _record_run("rebalance", args, inputs, [args.out], seeds={"seed": args.seed})
     print(f"kept {len(kept)} of {len(pool)} windows")
     return 0
 
@@ -215,6 +227,7 @@ def _cmd_rebalance(args) -> int:
 def _cmd_fit(args) -> int:
     if not 0 < args.alpha < math.inf:
         raise ValueError(f"--alpha must be a positive finite number, not {args.alpha:g}")
+    inputs = _digests([args.windows] + ([args.vocab] if args.vocab else []))
     train = windows.read_windows(args.windows)
     if args.kind == "prior":
         model = classify.fit_prior(train)
@@ -224,39 +237,15 @@ def _cmd_fit(args) -> int:
         vocab = bpe.load_vocab(args.vocab)
         model = classify.fit_token_stats(train, vocab, args.alpha)
     classify.save_model(args.out, model)
-    inputs = [args.windows] + ([args.vocab] if args.vocab else [])
     _record_run("fit", args, inputs, [args.out])
     print(f"{args.kind} model over {len(train)} windows -> {args.out}")
     return 0
 
 
-def _group_windows(path, pool: Sequence[windows.WindowInstance]):
-    """(function id, window count) of each function, in input order.
-
-    A function's windows must be contiguous and rise in `start`, as
-    `windows` writes them; a window out of place is refused at its line.
-    """
-    groups: list[list] = []
-    seen = set()
-    for i, w in enumerate(pool):
-        if groups and groups[-1][0] == w.func_id:
-            if w.start <= pool[i - 1].start:
-                raise ValueError(f"{path}:{record_line(path, i)}: field 'start' is {w.start}, "
-                                 f"not past the {pool[i - 1].start} of the window before it")
-            groups[-1][1] += 1
-            continue
-        if w.func_id in seen:
-            raise ValueError(f"{path}:{record_line(path, i)}: field 'func_id': the windows of "
-                             f"{w.func_id.as_json()} are not contiguous")
-        seen.add(w.func_id)
-        groups.append([w.func_id, 1])
-    return groups
-
-
 def _cmd_predict(args) -> int:
+    labeler = [args.vocab, args.targets] if args.external else [args.model, args.vocab]
+    inputs = _digests([args.windows, *filter(None, labeler)])
     pool = windows.read_windows(args.windows)
-    groups = _group_windows(args.windows, pool)
-    inputs = [args.windows]
     seeds = {}
     if args.external:
         if not args.vocab:
@@ -269,31 +258,23 @@ def _cmd_predict(args) -> int:
         with classify.spawn_external(shlex.split(args.external), vocab, known,
                                      args.external_timeout) as client:
             labels = client.predict(pool)
-        inputs.append(args.vocab)
-        if args.targets:
-            inputs.append(args.targets)
     else:
         if not args.model:
             raise ValueError("predict needs --model or --external")
         vocab = bpe.load_vocab(args.vocab) if args.vocab else None
         model = classify.load_model(args.model, vocab)
-        inputs.append(args.model)
-        if args.vocab:
-            inputs.append(args.vocab)
         if isinstance(model, classify.PriorModel):
             seeds = {"seed": args.seed}
             labels = classify.predict_prior_sequence(model, pool, _seed(args))
         else:
             labels = classify.predict_token_stats_batch(model, pool)
-    sequences = []
-    offset = 0
-    for fid, count in groups:
-        sequences.append(coalesce.LabelSequence(fid, tuple(labels[offset:offset + count])))
-        offset += count
-    sequences.sort(key=lambda s: s.func_id)
-    coalesce.write_label_sequences(args.out, sequences)
+    # the pool is in id order, so each function's windows, and labels, are contiguous
+    labels = iter(labels)
+    count = coalesce.write_label_sequences(args.out, (
+        coalesce.LabelSequence(fid, tuple(islice(labels, n)))
+        for fid, n in Counter(w.func_id for w in pool).items()))
     _record_run("predict", args, inputs, [args.out], seeds=seeds)
-    print(f"labeled {len(pool)} windows across {len(sequences)} functions")
+    print(f"labeled {len(pool)} windows across {count} functions")
     return 0
 
 
@@ -304,30 +285,36 @@ def _cmd_coalesce(args) -> int:
         retain_threshold=args.retain_threshold,
         count_divisor=args.count_divisor,
     )
-    sequences = sorted(coalesce.read_label_sequences(args.labels), key=lambda s: s.func_id)
-    records = [
-        combine.FunctionRecovery(s.func_id, coalesce.coalesce(s, params), args.optlevel)
-        for s in sequences
-    ]
-    combine.write_recoveries(args.out, records)
-    _record_run("coalesce", args, [args.labels], [args.out])
-    total = sum(r.counts.total for r in records)
-    print(f"{total} invocations recovered across {len(records)} functions")
+    inputs = _digests([args.labels])
+    total = 0
+
+    def recovered():
+        nonlocal total
+        for s in coalesce.iter_label_sequences(args.labels):
+            counts = coalesce.coalesce(s, params)
+            total += counts.total
+            yield combine.FunctionRecovery(s.func_id, counts, args.optlevel)
+
+    count = combine.write_recoveries(args.out, recovered())
+    _record_run("coalesce", args, inputs, [args.out])
+    print(f"{total} invocations recovered across {count} functions")
     return 0
 
 
 def _cmd_combine(args) -> int:
+    inputs = _digests([args.model, args.decompiler])
     model = combine.read_recoveries(args.model)
     decomp = combine.read_recoveries(args.decompiler)
     merged = combine.combine_recoveries(model, decomp)
     merged.sort(key=lambda r: r.func_id)
     combine.write_recoveries(args.out, merged)
-    _record_run("combine", args, [args.model, args.decompiler], [args.out])
+    _record_run("combine", args, inputs, [args.out])
     print(f"{len(merged)} functions combined")
     return 0
 
 
 def _cmd_score(args) -> int:
+    inputs = _digests([args.pred, args.truth])
     pred = combine.read_recoveries(args.pred)
     truth = combine.read_recoveries(args.truth)
     report = evaluate.score_recoveries(pred, truth)
@@ -339,7 +326,7 @@ def _cmd_score(args) -> int:
     if args.per_name_out:
         write_jsonl(args.per_name_out, sorted(report.by_name.items()), _per_name_json)
         outputs.append(args.per_name_out)
-    _record_run("score", args, [args.pred, args.truth], outputs)
+    _record_run("score", args, inputs, outputs)
     return 0
 
 
@@ -354,16 +341,24 @@ def _per_name_json(item: tuple[str, evaluate.EvalCounts]) -> dict:
 _RATIO = Kind(lambda v: NUMBER.test(v) and 0 <= v <= 1, "a ratio in [0, 1]")
 
 
-def _per_name_row(row: dict) -> tuple[str, float, float, float]:
+class _PerName(NamedTuple):
+    name: str
+    precision: float
+    recall: float
+    f1: float
+
+
+def _per_name_row(row: dict) -> _PerName:
     """A `score --per-name-out` record: the name and its precision, recall and f1."""
-    return (field(row, "name", STRING),
-            *(float(field(row, key, _RATIO)) for key in ("precision", "recall", "f1")))
+    return _PerName(field(row, "name", STRING),
+                    *(float(field(row, key, _RATIO)) for key in _PerName._fields[1:]))
 
 
 def _cmd_correlate(args) -> int:
+    inputs = _digests([args.per_name, args.targets])
     targets = corpus.load_targets(args.targets)
     per_name = {}
-    for name, *metrics in read_records(args.per_name, _per_name_row):
+    for name, *metrics in read_records(args.per_name, _per_name_row, key="name"):
         freq = targets.frequencies.get(name)
         if freq is None:
             log.warning("%s: no frequency in the target list; skipped", name)
@@ -382,7 +377,7 @@ def _cmd_correlate(args) -> int:
     if args.report:
         atomic_write(args.report, json.dumps(report.as_json(), indent=1, sort_keys=True) + "\n")
         outputs.append(args.report)
-    _record_run("correlate", args, [args.per_name, args.targets], outputs)
+    _record_run("correlate", args, inputs, outputs)
     return 0
 
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combine import RecoveryMultiset
 from .corpus import FunctionId
-from .jsonl import STRINGS, check_texts, field, read_records, write_jsonl
+from .jsonl import STRINGS, check_texts, field, iter_records, write_jsonl
 from .windows import EMPTY
 
 
@@ -136,8 +136,13 @@ def coalesce(
     return finalize(runs, params.retain_threshold, params.count_divisor)
 
 
+def iter_label_sequences(path) -> Iterator[LabelSequence]:
+    """The label sequences of `path`, in id order, decoded a few at a time."""
+    return iter_records(path, LabelSequence.from_json, key="func_id")
+
+
 def read_label_sequences(path) -> list[LabelSequence]:
-    return read_records(path, LabelSequence.from_json, key="func_id")
+    return list(iter_label_sequences(path))
 
 
 def write_label_sequences(path, sequences: Iterable[LabelSequence]) -> int:

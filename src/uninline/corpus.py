@@ -219,12 +219,8 @@ class DecompiledFunction:
 
 
 def iter_functions(path: str | Path) -> Iterator[DecompiledFunction]:
-    """The function records of `path`, decoded a few at a time.
-
-    Each record's id must sort past the one before it, as `split` writes
-    them; a record out of place, or a repeated id, is refused at its line.
-    """
-    return jsonl.iter_records(path, DecompiledFunction.from_json, key="id", rising=True)
+    """The function records of `path`, in id order, decoded a few at a time."""
+    return jsonl.iter_records(path, DecompiledFunction.from_json, key="id")
 
 
 def read_functions(path: str | Path) -> list[DecompiledFunction]:
@@ -291,9 +287,10 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
     """Read a target list: one ``name`` or ``name<TAB>frequency`` per line.
 
     Both fields are stripped of surrounding whitespace; a line with an
-    empty field or more than two tab-separated fields is refused.
+    empty field or more than two tab-separated fields is refused, and so
+    is a name listed on an earlier line, once stripped and lowercased.
     """
-    names = []
+    names = {}  # normalized name -> its line
     freqs = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -305,7 +302,8 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
                              f"not {len(parts)} tab-separated fields")
         if not parts[0]:
             raise ValueError(f"{path}:{lineno}: empty name before the frequency")
-        names.append(parts[0])
+        if (first := names.setdefault(_normalize(parts[0]), lineno)) != lineno:
+            raise ValueError(f"{path}:{lineno}: {parts[0]!r} repeats the name of line {first}")
         if len(parts) > 1:
             text = parts[1]
             # int() would also take "-5", "+5" and "1_000"

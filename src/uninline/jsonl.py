@@ -14,6 +14,7 @@ import re
 import reprlib
 import sys
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -157,58 +158,56 @@ def _ahead(items: Iterable[T]) -> Iterator[T]:
 
 
 def iter_records(path: str | Path, decode: Callable[[dict], T],
-                 key: str | None = None, rising: bool = False) -> Iterator[T]:
+                 key: str | tuple[str, ...] | None = None) -> Iterator[T]:
     """Decode the objects of a JSONL file a few at a time; an error names its `path:line`.
 
     `decode` raises ValueError for an ill-typed field and KeyError for a
-    missing one. `key`, when given, is the field that identifies a
-    record and the decoded record's attribute of that name: a record
-    whose key an earlier one holds is refused, naming both lines. With
-    `rising`, so is a record whose key does not sort past the one
-    before it, and only that key is held; otherwise every key is. The
-    earlier line is found by decoding the file again, which only an
-    error pays for.
+    missing one. `key`, when given, names the fields that order the
+    records, each both a field of the object and an attribute of the
+    decoded record: a record whose key does not sort past the one
+    before it is refused, naming the first field in which it differs
+    from that record and, for a repeated key, the line that held it
+    first. Only the last key is held; the earlier lines are found by
+    decoding the file again, which only an error pays for.
     """
-    return _ahead(_decoded(path, decode, key, rising))
+    return _ahead(_decoded(path, decode, key))
 
 
-def _decoded(path: str | Path, decode: Callable[[dict], T], key: str | None,
-             rising: bool) -> Iterator[T]:
-    seen: set = set()
+def _decoded(path: str | Path, decode: Callable[[dict], T],
+             key: str | tuple[str, ...] | None) -> Iterator[T]:
+    names = (key,) if isinstance(key, str) else key
+    get = attrgetter(*names) if names else None
     last = None
     for index, obj in enumerate(read_jsonl(path)):
         try:
             record = decode(obj)
-            if key is not None:
-                value = getattr(record, key)
-                if rising:
-                    if index and not last < value:
-                        raise ValueError(_misplaced(path, decode, key, index, value))
-                    last = value
-                elif value in seen:
-                    raise ValueError(_misplaced(path, decode, key, index, value))
-                else:
-                    seen.add(value)
+            if get is not None:
+                value = get(record)
+                if index and not last < value:
+                    raise ValueError(_misplaced(path, decode, names, index, value))
+                last = value
         except (KeyError, ValueError) as exc:
             detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}:{record_line(path, index)}: {detail}") from None
         yield record
 
 
-def _misplaced(path: str | Path, decode: Callable[[dict], T], key: str, index: int,
-               value: Any) -> str:
-    """Why the `index`-th record, whose `key` is `value`, is out of place."""
+def _misplaced(path: str | Path, decode: Callable[[dict], T], names: tuple[str, ...],
+               index: int, value: Any) -> str:
+    """Why the `index`-th record, whose key is `value`, does not sort past the one before it."""
     before, obj = islice(read_jsonl(path), index - 1, index + 1)
-    first = next(i for i, o in enumerate(read_jsonl(path)) if getattr(decode(o), key) == value)
+    name = next((n for n in names if obj[n] != before[n]), names[-1])
+    get = attrgetter(*names)
+    first = next(i for i, o in enumerate(read_jsonl(path)) if get(decode(o)) == value)
     if first < index:
-        return (f"field {key!r} repeats {reprlib.repr(obj[key])} "
+        return (f"field {name!r} repeats {reprlib.repr(obj[name])} "
                 f"of line {record_line(path, first)}")
-    return (f"field {key!r} is {reprlib.repr(obj[key])}, not past the "
-            f"{reprlib.repr(before[key])} of line {record_line(path, index - 1)}")
+    return (f"field {name!r} is {reprlib.repr(obj[name])}, not past the "
+            f"{reprlib.repr(before[name])} of line {record_line(path, index - 1)}")
 
 
 def read_records(path: str | Path, decode: Callable[[dict], T],
-                 key: str | None = None) -> list[T]:
+                 key: str | tuple[str, ...] | None = None) -> list[T]:
     """Every record of `iter_records`, as a list."""
     return list(iter_records(path, decode, key))
 

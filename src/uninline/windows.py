@@ -127,4 +127,5 @@ def write_windows(path, instances: Iterable[WindowInstance]) -> int:
 
 
 def read_windows(path) -> list[WindowInstance]:
-    return read_records(path, WindowInstance.from_json)
+    """The windows of `path`, each function's contiguous, in id order and rising in `start`."""
+    return read_records(path, WindowInstance.from_json, key=("func_id", "start"))

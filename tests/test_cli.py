@@ -230,6 +230,19 @@ def test_full_pipeline(tmp_path, run_root, capsys) -> None:
     assert all(m["version"] for m in manifest)
 
 
+def test_a_stage_writing_over_its_input_records_the_digest_it_read(tmp_path, run_root) -> None:
+    """The manifest holds the digest of the input the stage read, so its line replays."""
+    path = tmp_path / "w.jsonl"
+    windows.write_windows(path, windows.scan_windows(make_body("f", 40), windows.WindowSpec()))
+    read = path.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["rebalance", "--windows", str(path), "--out", str(path),
+                        "--discard-fraction", "0.9", "--seed", "3"]) == 0
+    assert path.read_bytes() != read
+    (record,) = _manifest(run_root)
+    assert record["inputs"] == {str(path): hashlib.sha256(read).hexdigest()}
+
+
 def test_prior_fit_predict(tmp_path, run_root) -> None:
     recs = [make_body(f"f{i}", 10, (("x", 0),), ordinal=i) for i in range(3)]
     fn_path = tmp_path / "f.jsonl"
@@ -771,40 +784,67 @@ def test_ill_typed_record_field_exits_2(tmp_path, capsys, record, field) -> None
 _OTHER_ID = ["b.c", "g", 0]
 
 
-@pytest.mark.parametrize("stage, records, field", [
-    ("reconcile", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
-    ("windows", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
-    ("predict", [WINDOW, {**WINDOW, "start": 1}, WINDOW], "start"),
-    ("predict", [WINDOW, {**WINDOW, "func_id": _OTHER_ID}, WINDOW], "func_id"),
-    ("coalesce", [LABELS, {**LABELS, "func_id": _OTHER_ID}, LABELS], "func_id"),
-    ("combine", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
-    ("score", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
-], ids=["reconcile", "windows", "predict-start", "predict-apart", "coalesce", "combine",
-        "score"])
-def test_repeated_function_exits_2_at_its_line(tmp_path, capsys, stage, records, field) -> None:
-    """A second body of one function is refused where it starts, never merged into the first."""
-    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-    # a blank line counts toward the location too
-    path.write_text(json.dumps(records[0]) + "\n" + json.dumps(records[1]) + "\n\n"
-                    + json.dumps(records[2]) + "\n")
-    targets, model, other = tmp_path / "targets.txt", tmp_path / "model.json", tmp_path / "o"
-    targets.write_text("memset\n")
+def _keyed_stage(stage: str, path, out) -> list[str]:
+    """The argv of `stage` reading the keyed records of `path`, its other inputs made beside it."""
+    targets, model, other = (path.with_name(n) for n in ("targets.txt", "model.json", "o"))
+    targets.write_text("memset\t5\n")
     model.write_text(json.dumps(PRIOR))
     other.write_text(json.dumps(RECOVERY) + "\n")
     argv = {
         "reconcile": ["--functions", path, "--targets", targets, "--out", out],
         "windows": ["--functions", path, "--out", out],
+        "bpe-train": ["--functions", "--out", out, path],
+        "rebalance": ["--windows", path, "--out", out],
+        "fit": ["--kind", "prior", "--windows", path, "--out", out],
         "predict": ["--windows", path, "--model", model, "--out", out],
         "coalesce": ["--labels", path, "--out", out],
         "combine": ["--model", path, "--decompiler", other, "--out", out],
         "score": ["--pred", path, "--truth", other, "--report", out],
+        "correlate": ["--per-name", path, "--targets", targets, "--report", out],
     }[stage]
-    assert cli.run([stage, *map(str, argv)]) == 2
-    err = capsys.readouterr().err
-    assert f"uninline {stage}: error: {path}:4: " in err and f"'{field}'" in err, err
-    if field in ("id", "func_id") and stage != "predict":
-        assert "of line 1" in err
-    assert not out.exists()
+    return [stage, *map(str, argv)]
+
+
+def _refused_at(tmp_path, capsys, run_root, stage: str, records: list[dict | None]) -> str:
+    """The error of `stage` on `records`, one per line (None a blank one), once checked that
+    the stage wrote nothing: no output, no tmp file and no manifest line."""
+    path, out = tmp_path / "in.jsonl", tmp_path / "out"
+    path.write_text("".join("\n" if r is None else json.dumps(r) + "\n" for r in records))
+    assert cli.run(_keyed_stage(stage, path, out)) == 2
+    assert not out.exists() and not list(tmp_path.glob("*.tmp")) and not _manifest(run_root)
+    return capsys.readouterr().err
+
+
+_WINDOWS_OF_ONE = [WINDOW, {**WINDOW, "start": 1}, WINDOW]
+_WINDOWS_APART = [WINDOW, {**WINDOW, "func_id": _OTHER_ID}, WINDOW]
+
+
+@pytest.mark.parametrize("stage, records, field", [
+    ("reconcile", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
+    ("windows", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
+    ("bpe-train", [FUNCTION, {**FUNCTION, "id": _OTHER_ID}, FUNCTION], "id"),
+    ("rebalance", _WINDOWS_OF_ONE, "start"),
+    ("rebalance", _WINDOWS_APART, "func_id"),
+    ("fit", _WINDOWS_OF_ONE, "start"),
+    ("fit", _WINDOWS_APART, "func_id"),
+    ("predict", _WINDOWS_OF_ONE, "start"),
+    ("predict", _WINDOWS_APART, "func_id"),
+    ("coalesce", [LABELS, {**LABELS, "func_id": _OTHER_ID}, LABELS], "func_id"),
+    ("combine", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
+    ("score", [RECOVERY, {**RECOVERY, "func_id": _OTHER_ID}, RECOVERY], "func_id"),
+    ("correlate", [PER_NAME, {**PER_NAME, "name": "strcpy"}, PER_NAME], "name"),
+], ids=["reconcile", "windows", "bpe-train", "rebalance-start", "rebalance-apart", "fit-start",
+        "fit-apart", "predict-start", "predict-apart", "coalesce", "combine", "score",
+        "correlate"])
+def test_repeated_function_exits_2_at_its_line(tmp_path, capsys, run_root, stage, records,
+                                               field) -> None:
+    """A second record of one key is refused where it starts, never merged into the first
+    or, as `correlate` did with a name, kept in its place."""
+    # a blank line counts toward the location too
+    records = [records[0], records[1], None, records[2]]
+    err = _refused_at(tmp_path, capsys, run_root, stage, records)
+    assert err == (f"uninline {stage}: error: {tmp_path / 'in.jsonl'}:4: field '{field}' "
+                   f"repeats {records[0][field]!r} of line 1\n")
 
 
 def _stage_reading(stage: str, path, out) -> list[str]:
@@ -1246,24 +1286,46 @@ def test_streaming_stages_write_what_the_sorted_list_gives(tmp_path, records, or
     assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("stage", ["reconcile", "windows", "bpe-train"])
-def test_records_out_of_id_order_exit_2_at_the_later_line(tmp_path, capsys, stage) -> None:
-    """Two records swapped: the second of them, whose id falls, is refused at its line."""
-    records = _function_records(4)
+def _function_records(count: int) -> list[dict]:
+    """`count` labeled 30-line bodies in id order, one marker each: 11 windows apiece."""
+    return [{"id": ["mem.c", f"f{k:05d}", k], "recovered": [],
+             "lines": [f"  iVar{i} = iVar{i} * {k} + 0x{i * k:x};" for i in range(14)]
+             + ['  funcmark_0011aabbccdd[0] = "FUNCMARK:memset";']
+             + [f"  uVar{i} = memset(p, {i}, {k});" for i in range(15)],
+             "true_labels": [["memset", 14]]} for k in range(count)]
+
+
+_IDS = [["mem.c", f"f{k:05d}", k] for k in range(4)]
+_IN_ORDER = {
+    "id": _function_records(4),
+    "func_id": [{**RECOVERY, "func_id": fid} for fid in _IDS],
+    "window func_id": [{**WINDOW, "func_id": fid} for fid in _IDS],
+    "window start": [{**WINDOW, "start": start} for start in range(4)],
+    "label func_id": [{**LABELS, "func_id": fid} for fid in _IDS],
+    "name": [{**PER_NAME, "name": name} for name in ("bzero", "memcpy", "memset", "strcpy")],
+}
+
+
+@pytest.mark.parametrize("stage, kind", [
+    ("reconcile", "id"), ("windows", "id"), ("bpe-train", "id"),
+    ("rebalance", "window start"), ("rebalance", "window func_id"),
+    ("fit", "window start"), ("fit", "window func_id"),
+    ("predict", "window start"), ("predict", "window func_id"),
+    ("coalesce", "label func_id"), ("combine", "func_id"), ("score", "func_id"),
+    ("correlate", "name"),
+], ids=["reconcile", "windows", "bpe-train", "rebalance-start", "rebalance-apart", "fit-start",
+        "fit-apart", "predict-start", "predict-apart", "coalesce", "combine", "score",
+        "correlate"])
+def test_records_out_of_id_order_exit_2_at_the_later_line(tmp_path, capsys, run_root, stage,
+                                                          kind) -> None:
+    """Two records swapped: the second of them, whose key falls, is refused at its line,
+    naming the field in which it falls."""
+    field = kind.split()[-1]
+    records = [*_IN_ORDER[kind]]
     records[1], records[2] = records[2], records[1]
-    path, out, targets = tmp_path / "in.jsonl", tmp_path / "out", tmp_path / "targets.txt"
-    _write_records(path, records)
-    targets.write_text("memset\n")
-    argv = {
-        "reconcile": ["--functions", path, "--targets", targets, "--out", out],
-        "windows": ["--functions", path, "--out", out],
-        "bpe-train": ["--functions", "--out", out, path],
-    }[stage]
-    assert cli.run([stage, *map(str, argv)]) == 2
-    assert capsys.readouterr().err == (
-        f"uninline {stage}: error: {path}:3: field 'id' is ['mem.c', 'f00001', 1], "
-        "not past the ['mem.c', 'f00002', 2] of line 2\n")
-    assert not out.exists()
+    assert _refused_at(tmp_path, capsys, run_root, stage, records) == (
+        f"uninline {stage}: error: {tmp_path / 'in.jsonl'}:3: field '{field}' is "
+        f"{records[2][field]!r}, not past the {records[1][field]!r} of line 2\n")
 
 
 @pytest.mark.parametrize("stage", ["reconcile", "windows", "bpe-train"])
@@ -1283,15 +1345,6 @@ def test_malformed_body_line_with_a_line_break_exits_2(tmp_path, capsys, stage) 
     assert f"uninline {stage}: error: {path}:2: field 'lines' must be a list of strings " \
            "without line breaks" in err, err
     assert not out.exists() and not list(tmp_path.glob("*.tmp"))
-
-
-def _function_records(count: int) -> list[dict]:
-    """`count` labeled 30-line bodies in id order, one marker each: 11 windows apiece."""
-    return [{"id": ["mem.c", f"f{k:05d}", k], "recovered": [],
-             "lines": [f"  iVar{i} = iVar{i} * {k} + 0x{i * k:x};" for i in range(14)]
-             + ['  funcmark_0011aabbccdd[0] = "FUNCMARK:memset";']
-             + [f"  uVar{i} = memset(p, {i}, {k});" for i in range(15)],
-             "true_labels": [["memset", 14]]} for k in range(count)]
 
 
 def _traced_peak(argv: list[str]) -> int:

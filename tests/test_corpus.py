@@ -81,7 +81,8 @@ def test_load_targets_strips_both_fields(tmp_path) -> None:
     (" \t7", "empty name before the frequency"),
     ("memset\t", "frequency must be a non-negative integer, not ''"),
     ("memset\t ", "frequency must be a non-negative integer, not ''"),
-], ids=["third-field", "empty-name", "empty-frequency", "blank-frequency"])
+    ("StrCpy \t2", "'StrCpy' repeats the name of line 1"),
+], ids=["third-field", "empty-name", "empty-frequency", "blank-frequency", "repeated-name"])
 def test_load_targets_refuses_a_malformed_line(tmp_path, line, error) -> None:
     path = tmp_path / "targets.txt"
     path.write_text(f"strcpy\t10\n{line}\n")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uninline import cli, coalesce, combine, corpus, windows
 from uninline.jsonl import (INTEGER, check, dump_line, iter_records, read_jsonl, read_records,
-                            write_jsonl)
+                            record_line, write_jsonl)
 
 _VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -81,7 +83,7 @@ class Keyed:
 
 
 def _rising(path) -> list[tuple[int, str]]:
-    return [(r.key, r.text) for r in iter_records(path, Keyed, key="key", rising=True)]
+    return [(r.key, r.text) for r in iter_records(path, Keyed, key="key")]
 
 
 # how a record's line may be laid out: its key first, as write_jsonl puts it, or not
@@ -141,6 +143,84 @@ def test_iter_records_rising_names_a_bad_line(tmp_path, line, error) -> None:
     path.write_text(f'{{"key":3,"text":""}}\n{line}\n')
     with pytest.raises(ValueError, match=f"^{path}:2: {error}"):
         _rising(path)
+
+
+def _seen_set_records(path, decode, key) -> list:
+    """The keyed reader as it was before every keyed file had one order, the oracle:
+    it holds every key, refuses only a repeated one, and takes any order."""
+    get = attrgetter(*((key,) if isinstance(key, str) else key))
+    seen, records = set(), []
+    for index, obj in enumerate(read_jsonl(path)):
+        record = decode(obj)
+        if (value := get(record)) in seen:
+            raise ValueError(f"{path}:{record_line(path, index)}: key {value} repeats")
+        seen.add(value)
+        records.append(record)
+    return records
+
+
+_FUNC_IDS = st.tuples(st.sampled_from(["a.c", "b.c"]), st.sampled_from("fgh"),
+                      st.integers(0, 3)).map(list)
+# each keyed record kind: its key's fields, the strategy of a key, the record of a key,
+# its decoder, and the reader its stages call
+_KINDS = {
+    "function": (("id",), _FUNC_IDS.map(lambda f: (f,)),
+                 lambda f: {"id": f, "lines": ["{", "}"], "true_labels": [], "recovered": []},
+                 corpus.DecompiledFunction.from_json, corpus.read_functions),
+    "window": (("func_id", "start"), st.tuples(_FUNC_IDS, st.integers(0, 3)),
+               lambda f, s: {"func_id": f, "start": s, "label": "", "text": "{"},
+               windows.WindowInstance.from_json, windows.read_windows),
+    "label sequence": (("func_id",), _FUNC_IDS.map(lambda f: (f,)),
+                       lambda f: {"func_id": f, "labels": ["", "memset"]},
+                       coalesce.LabelSequence.from_json, coalesce.read_label_sequences),
+    "recovery": (("func_id",), _FUNC_IDS.map(lambda f: (f,)),
+                 lambda f: {"func_id": f, "counts": {"memset": 1}},
+                 combine.FunctionRecovery.from_json, combine.read_recoveries),
+    "per-name": (("name",), st.text("abmstz", min_size=1, max_size=4).map(lambda n: (n,)),
+                 lambda n: {"name": n, "tp": 1, "fp": 0, "fn": 0, "precision": 1.0,
+                            "recall": 1.0, "f1": 1.0},
+                 cli._per_name_row,
+                 lambda path: read_records(path, cli._per_name_row, key="name")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_KINDS)), data=st.data())
+def test_every_keyed_record_kind_reads_in_key_order_and_refuses_any_other(
+        tmp_path_factory, kind, data) -> None:
+    """Records in key order read as the oracle reads them; two adjacent records swapped,
+    or a record given again, are refused at the later one's line, naming the first field
+    in which it differs from the record before it (for a window, `func_id`, or `start`
+    when both windows belong to one function)."""
+    names, keys, make, decode, read = _KINDS[kind]
+    objs = [make(*k) for k in sorted(data.draw(st.lists(keys, min_size=2, max_size=6,
+                                                        unique_by=repr)))]
+    path = tmp_path_factory.mktemp("keyed") / "r.jsonl"
+
+    def refused(records) -> str:
+        write_jsonl(path, records, dict)
+        with pytest.raises(ValueError) as error:
+            read(path)
+        return str(error.value)
+
+    def named(obj, before) -> str:
+        return "start" if kind == "window" and obj["func_id"] == before["func_id"] else names[0]
+
+    write_jsonl(path, objs, dict)
+    assert read(path) == _seen_set_records(path, decode, names) == [*map(decode, objs)]
+
+    i = data.draw(st.integers(1, len(objs) - 1), label="swapped with the record before it")
+    later, before = objs[i - 1], objs[i]
+    name = named(later, before)
+    assert refused([*objs[:i - 1], before, later, *objs[i + 1:]]) == (
+        f"{path}:{i + 1}: field {name!r} is {later[name]!r}, "
+        f"not past the {before[name]!r} of line {i}")
+
+    j = data.draw(st.integers(0, len(objs) - 1), label="repeated")
+    at = data.draw(st.integers(j + 1, len(objs)), label="where it repeats")
+    name = named(objs[j], objs[at - 1])
+    assert refused([*objs[:at], objs[j], *objs[at:]]) == (
+        f"{path}:{at + 1}: field {name!r} repeats {objs[j][name]!r} of line {j + 1}")
 
 
 # text as a body holds it: bytes of any kind, each that is no UTF-8 decoded to U+DC80-U+DCFF
