@@ -64,6 +64,20 @@ def _digests(inputs: Sequence[str | Path]) -> dict[str, str]:
     return {str(p): _digest(p) for p in inputs}
 
 
+def _distinct(outputs: Sequence[tuple[str, str | Path | None]]) -> None:
+    """Refuse, before a stage writes, two outputs that resolve to one real path.
+
+    Each output comes with what named it; an output not asked for is None.
+    """
+    named: dict[str, str] = {}  # real path -> what named it first
+    for name, path in outputs:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValueError(f"{named[real]} and {name} would both write {path}")
+            named[real] = name
+
+
 def _record_run(command: str, args: argparse.Namespace, inputs: dict[str, str],
                 outputs: Sequence[str | Path], seeds: dict | None = None) -> None:
     parameters = {
@@ -86,10 +100,18 @@ def _record_run(command: str, args: argparse.Namespace, inputs: dict[str, str],
 def _cmd_inject(args) -> int:
     if args.array_size < 1:
         raise ValueError(f"--array-size must be at least 1, not {args.array_size}")
+    written = []  # (source, its marked file, its plan)
+    for src_path in args.sources:
+        out_path = Path(markers.marked_path(src_path))
+        if args.out_dir:
+            out_path = Path(args.out_dir) / out_path.name
+        plan_path = out_path.with_name(out_path.name.replace(".marked.c", ".markplan.json"))
+        written.append((src_path, out_path, plan_path))
+    outputs = [(src, path) for src, *paths in written for path in paths]
+    _distinct(outputs)
     inputs = _digests([args.targets, *args.sources])
     targets = corpus.load_targets(args.targets)
-    outputs = []
-    for src_path in args.sources:
+    for src_path, out_path, plan_path in written:
         content = Path(src_path).read_bytes()
         source = corpus.SourceFile(
             path=str(src_path),
@@ -98,16 +120,11 @@ def _cmd_inject(args) -> int:
             optimization=corpus.OptLevel.UNKNOWN,
         )
         instrumented, plan = markers.inject_markers(source, targets, args.array_size)
-        out_path = Path(instrumented.path)
-        if args.out_dir:
-            out_path = Path(args.out_dir) / out_path.name
-            out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write(out_path, instrumented.content)
-        plan_path = out_path.with_name(out_path.name.replace(".marked.c", ".markplan.json"))
         atomic_write(plan_path, json.dumps(plan.as_json(), indent=1, sort_keys=True) + "\n")
-        outputs += [out_path, plan_path]
         print(f"{src_path}: {len(plan.assignments)} call sites marked -> {out_path}")
-    _record_run("inject", args, inputs, outputs)
+    _record_run("inject", args, inputs, [path for _, path in outputs])
     return 0
 
 
@@ -140,6 +157,8 @@ def _cmd_reconcile(args) -> int:
     Each body's id and label names are kept for `--truth-out` and
     `--recovered-out`, which are written last.
     """
+    _distinct([("--out", args.out), ("--truth-out", args.truth_out),
+               ("--recovered-out", args.recovered_out)])
     inputs = _digests([args.functions, args.targets])
     targets = corpus.load_targets(args.targets)
     kept = []  # (id, residual marker names, recovered call names) of each labeled body
@@ -314,6 +333,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _distinct([("--report", args.report), ("--per-name-out", args.per_name_out)])
     inputs = _digests([args.pred, args.truth])
     pred = combine.read_recoveries(args.pred)
     truth = combine.read_recoveries(args.truth)

@@ -3,12 +3,13 @@
 Decompiled files are carved into per-function records by brace matching
 from a signature-shaped header line (`split_functions`, the `uninline
 split` stage); decompiler output is syntactically regular enough that
-this is reliable. The matching runs on `ctext` code views, and walks
-only the parens and braces that regular expressions find. A body is
-held as one string, its lines joined with newlines; a function record
-stores its lines as a list, and `DecompiledFunction.from_json` and
-`as_json` convert at that edge. All types here are immutable after
-construction and safe to share across threads.
+this is reliable. The matching runs on the lines of the file's `ctext`
+code view, and walks only the parens and braces that regular
+expressions find. A body is held as one string, its lines joined with
+newlines; a function record stores its lines as a list, and
+`DecompiledFunction.from_json` and `as_json` convert at that edge. All
+types here are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def _normalize(name: str) -> str:
 class TargetFunctionSet:
     """The library functions the pipeline tries to recover.
 
-    Names are lowercased; matching throughout the toolkit is
-    case-insensitive via this normalization. `from_names` strips and
+    Names are lowercased C identifiers; matching throughout the toolkit
+    is case-insensitive via this normalization. `from_names` strips and
     lowercases each name and each frequency's key alike, and membership
     is tested on `name_set`.
     """
@@ -258,8 +259,8 @@ class TargetFunctionSet:
     def __post_init__(self):
         seen = set()
         for name in self.names:
-            if not name:
-                raise ValueError("empty target-function name")
+            if not ctext.IDENT_RE.fullmatch(name):
+                raise ValueError(f"target name is not a C identifier: {name!r}")
             if name != name.lower():
                 raise ValueError(f"target name not normalized: {name!r}")
             if name in seen:
@@ -275,7 +276,7 @@ class TargetFunctionSet:
         seen = set()
         for name in names:
             low = _normalize(name)
-            if low and low not in seen:
+            if low not in seen:
                 normalized.append(low)
                 seen.add(low)
         freqs = {_normalize(k): check("frequency", v, _FREQUENCY)
@@ -286,9 +287,10 @@ class TargetFunctionSet:
 def load_targets(path: str | Path) -> TargetFunctionSet:
     """Read a target list: one ``name`` or ``name<TAB>frequency`` per line.
 
-    Both fields are stripped of surrounding whitespace; a line with an
-    empty field or more than two tab-separated fields is refused, and so
-    is a name listed on an earlier line, once stripped and lowercased.
+    Both fields are stripped of surrounding whitespace; a line with more
+    than two tab-separated fields, a name that is no C identifier or an
+    empty frequency is refused, and so is a name listed on an earlier
+    line, once stripped and lowercased, and a file that lists no name.
     """
     names = {}  # normalized name -> its line
     freqs = {}
@@ -300,8 +302,8 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
         if len(parts) > 2:
             raise ValueError(f"{path}:{lineno}: expected name or name<TAB>frequency, "
                              f"not {len(parts)} tab-separated fields")
-        if not parts[0]:
-            raise ValueError(f"{path}:{lineno}: empty name before the frequency")
+        if not ctext.IDENT_RE.fullmatch(parts[0]):
+            raise ValueError(f"{path}:{lineno}: target name {parts[0]!r} is not a C identifier")
         if (first := names.setdefault(_normalize(parts[0]), lineno)) != lineno:
             raise ValueError(f"{path}:{lineno}: {parts[0]!r} repeats the name of line {first}")
         if len(parts) > 1:
@@ -315,6 +317,8 @@ def load_targets(path: str | Path) -> TargetFunctionSet:
                 raise ValueError(f"{path}:{lineno}: frequency must be at most 2**53, "
                                  f"not {reprlib.repr(text)}")
             freqs[parts[0]] = int(text)
+    if not names:
+        raise ValueError(f"{path}: no target names")
     return TargetFunctionSet.from_names(names, freqs)
 
 
@@ -424,7 +428,7 @@ def split_functions(file: SourceFile) -> list[DecompiledFunction]:
     if file.language is not Language.PSEUDO_C:
         raise ValueError(f"{file.path}: split_functions expects decompiled pseudo-C")
     lines = file.lines
-    views = ctext.code_views(lines)
+    views = ctext.code_text("\n".join(lines)).split("\n")
     functions: list[DecompiledFunction] = []
     i = 0
     while i < len(lines):

@@ -173,24 +173,27 @@ def strip_instrumentation(content: bytes) -> bytes:
     return "".join(kept).encode("utf-8", "surrogateescape")
 
 
-def extract_markers(body: DecompiledFunction,
-                    lines: Sequence[str] | None = None) -> list[RecoveredMarker]:
+def extract_markers(body: DecompiledFunction) -> list[RecoveredMarker]:
     """Collect surviving marker payloads from a decompiled body, in line order.
 
     Any line may carry several markers; each occurrence yields one
     record. A payload prefix with no name after it is logged and skipped.
-    `lines`, when given, are the body's lines, already split.
+    A payload never spans lines, so one search of the text finds them
+    all, and each one's line is counted from the one before.
     """
-    if body.text is None or MARKER_PREFIX not in body.text:
+    text = body.text
+    if text is None or MARKER_PREFIX not in text:
         return []
     found = []
-    for lineno, line in enumerate(body.lines if lines is None else lines):
-        for match in _PAYLOAD_RE.finditer(line):
-            name = match.group(1)
-            if name is None:
-                log.warning("%s line %d: malformed marker payload; skipped", body.id, lineno)
-                continue
-            found.append(RecoveredMarker(name.lower(), lineno))
+    lineno = counted = 0
+    for match in _PAYLOAD_RE.finditer(text):
+        lineno += text.count("\n", counted, match.start())
+        counted = match.start()
+        name = match.group(1)
+        if name is None:
+            log.warning("%s line %d: malformed marker payload; skipped", body.id, lineno)
+            continue
+        found.append(RecoveredMarker(name.lower(), lineno))
     return found
 
 
@@ -222,9 +225,8 @@ def reconcile_function(body: DecompiledFunction, targets: TargetFunctionSet) -> 
     recovered calls are the target-function invocations still visible to
     the decompiler as plain calls in the body text.
     """
-    lines = body.lines
-    markers = [m for m in extract_markers(body, lines) if m.name in targets.name_set]
-    sites = ctext.find_call_sites(lines, targets.name_set)
+    markers = [m for m in extract_markers(body) if m.name in targets.name_set]
+    sites = ctext.find_call_sites(body.lines, targets.name_set)
     recovered = Counter(site.name for site in sites)
     residual, _removed = reconcile(markers, recovered)
     return DecompiledFunction.from_text(

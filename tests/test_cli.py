@@ -570,6 +570,41 @@ def test_split_refuses_a_missing_or_repeated_file(tmp_path, run_root, capsys, mo
     assert _manifest(run_root) == []
 
 
+_RECONCILE = ["reconcile", "--functions", "funcs.jsonl", "--targets", "targets.txt"]
+_SCORE = ["score", "--pred", "rec.jsonl", "--truth", "rec.jsonl"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_RECONCILE, "--out", "same.jsonl", "--truth-out", "same.jsonl"],
+     "--out and --truth-out would both write same.jsonl"),
+    ([*_RECONCILE, "--out", "a.jsonl", "--truth-out", "t.jsonl", "--recovered-out", "./t.jsonl"],
+     "--truth-out and --recovered-out would both write ./t.jsonl"),
+    ([*_RECONCILE, "--out", "a.jsonl", "--recovered-out", "d/../a.jsonl"],
+     "--out and --recovered-out would both write d/../a.jsonl"),
+    ([*_SCORE, "--report", "r.json", "--per-name-out", "d/../r.json"],
+     "--report and --per-name-out would both write d/../r.json"),
+    (["inject", "--targets", "targets.txt", "--out-dir", "o", "a/x.c", "d/x.c"],
+     "a/x.c and d/x.c would both write o/x.marked.c"),
+], ids=["reconcile-out-truth", "reconcile-truth-recovered", "reconcile-out-recovered",
+        "score", "inject"])
+def test_a_stage_refuses_two_outputs_of_one_file(tmp_path, run_root, capsys, monkeypatch,
+                                                 argv, message) -> None:
+    monkeypatch.chdir(tmp_path)
+    corpus.write_functions("funcs.jsonl", [
+        DecompiledFunction(FunctionId("prog.c", "doit", 0), RECONCILE_LINES)])
+    (tmp_path / "targets.txt").write_text("sprintf\n")
+    combine.write_recoveries("rec.jsonl", [
+        FunctionRecovery(FunctionId("a.c", "f", 0), RecoveryMultiset({"memset": 2}))])
+    for folder in ("a", "d"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x.c").write_text(C_SOURCE)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.run(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    # no output, no tmp file and no manifest line
+    assert sorted(tmp_path.rglob("*")) == before and _manifest(run_root) == []
+
+
 # bytes that are no UTF-8: each of 0x80-0xff alone, and sequences broken off or ill-formed
 _NOT_UTF8 = [bytes([b]) for b in range(0x80, 0x100)] + [
     b"\xe2\x82", b"\xf0\x9f\x98", b"\xc3(", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf8\x88\x80\x80\x80"]

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ctext import LINES, oracle_code_view
+from test_ctext import TEXTS, oracle_code_text
 
 from uninline import corpus, ctext
 from uninline.corpus import (
@@ -76,19 +76,31 @@ def test_load_targets_strips_both_fields(tmp_path) -> None:
     assert targets.frequencies == {"memset": 5, "strcpy": 7}
 
 
-@pytest.mark.parametrize("line, error", [
-    ("memset\t5\t9", "expected name or name<TAB>frequency, not 3 tab-separated fields"),
-    (" \t7", "empty name before the frequency"),
-    ("memset\t", "frequency must be a non-negative integer, not ''"),
-    ("memset\t ", "frequency must be a non-negative integer, not ''"),
-    ("StrCpy \t2", "'StrCpy' repeats the name of line 1"),
-], ids=["third-field", "empty-name", "empty-frequency", "blank-frequency", "repeated-name"])
-def test_load_targets_refuses_a_malformed_line(tmp_path, line, error) -> None:
+@pytest.mark.parametrize("text, error", [
+    ("strcpy\t10\nmemset\t5\t9\n",
+     ":2: expected name or name<TAB>frequency, not 3 tab-separated fields"),
+    ("strcpy\t10\n \t7\n", ":2: target name '' is not a C identifier"),
+    ("strcpy\t10\nmemset\t\n", ":2: frequency must be a non-negative integer, not ''"),
+    ("strcpy\t10\nmemset\t \n", ":2: frequency must be a non-negative integer, not ''"),
+    ("strcpy\t10\nStrCpy \t2\n", ":2: 'StrCpy' repeats the name of line 1"),
+    ("\ufeffmemset\t5\nstrcpy\t3\n", ":1: target name '\\ufeffmemset' is not a C identifier"),
+    ("memset\t5\nstrcpy()\t3\n", ":2: target name 'strcpy()' is not a C identifier"),
+    ("memset 200\n", ":1: target name 'memset 200' is not a C identifier"),
+    ("", ": no target names"),
+], ids=["third-field", "empty-name", "empty-frequency", "blank-frequency", "repeated-name",
+        "byte-order-mark", "parens", "space-for-tab", "no-names"])
+def test_load_targets_refuses_a_malformed_line(tmp_path, text, error) -> None:
     path = tmp_path / "targets.txt"
-    path.write_text(f"strcpy\t10\n{line}\n")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         load_targets(path)
-    assert str(exc.value) == f"{path}:2: {error}"
+    assert str(exc.value) == f"{path}{error}"
+
+
+def test_targets_refuse_a_name_that_is_no_identifier() -> None:
+    for names in [[""], ["memset("], ["mem set"], ["\ufeffmemset"]]:
+        with pytest.raises(ValueError, match="not a C identifier"):
+            TargetFunctionSet.from_names(names)
 
 
 def test_function_record_roundtrip(tmp_path) -> None:
@@ -283,12 +295,12 @@ HEADERS = st.builds(
 )
 VIEWS = st.lists(st.one_of(VIEW_TEXT, HEADERS, st.sampled_from(["{", "}", "", "  x;"])),
                  min_size=1, max_size=8)
-# Files: lines a decompiler writes, mixed with lines of lexer pieces.
+# Files: lines a decompiler writes, mixed with texts of lexer pieces.
 FILE_LINES = st.lists(
     st.one_of(
         st.sampled_from(["int f(void)", "void g(int a) {", "{", "}", "  } else {",
                          "  h(x);", "/* {", "*/ }", "  s = \"}\";", ""]),
-        LINES,
+        TEXTS,
     ),
     max_size=14,
 )
@@ -311,7 +323,7 @@ def test_split_functions_matches_character_loops(lines) -> None:
     source = SourceFile("r.c", "\n".join(lines).encode("utf-8", "surrogateescape"),
                         Language.PSEUDO_C)
     fast = split_functions(source)
-    with mock.patch.object(ctext, "code_view", oracle_code_view), \
+    with mock.patch.object(ctext, "code_text", oracle_code_text), \
             mock.patch.object(corpus, "_match_header", oracle_match_header), \
             mock.patch.object(corpus, "_scan_body", oracle_scan_body):
         slow = split_functions(source)

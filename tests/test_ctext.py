@@ -2,29 +2,26 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uninline.ctext import (
-    IDENT_RE,
-    START_STATE,
-    CallSite,
-    ScanState,
-    code_view,
-    code_views,
-    find_call_sites,
-)
+from uninline.ctext import IDENT_RE, CallSite, code_text, find_call_sites
+
+# a line after the one under test: it is kept as code only when no comment,
+# literal or directive carries over into it
+NEXT = "\nf();"
 
 
 def test_code_view_blanks_string_literals() -> None:
-    view, state = code_view('x = strcpy(a, "memset(b)");')
-    assert view == 'x = strcpy(a,            );'
-    assert state == START_STATE
+    view = code_text('x = strcpy(a, "memset(b)");' + NEXT)
+    assert view == 'x = strcpy(a,            );' + NEXT
 
 
 def test_code_view_preserves_length_and_columns() -> None:
     line = 'if (p->kind == \'x\') { free(p); } /* free(q); */'
-    view, _ = code_view(line)
+    view = code_text(line)
     assert len(view) == len(line)
     assert view.index("free") == line.index("free")
     assert "free(q)" not in view
@@ -32,20 +29,19 @@ def test_code_view_preserves_length_and_columns() -> None:
 
 def test_code_view_line_comment_ends_scan() -> None:
     line = "a = 1; // b = memset(x)"
-    view, state = code_view(line)
-    assert view == "a = 1; ".ljust(len(line))
-    assert not state.in_comment
+    view = code_text(line + NEXT)
+    assert view == "a = 1; ".ljust(len(line)) + NEXT
 
 
 def test_block_comment_spans_lines() -> None:
-    views = code_views(["start(); /* comment", "still comment", "done */ end();"])
+    views = code_text("start(); /* comment\nstill comment\ndone */ end();").split("\n")
     assert views[0].startswith("start(); ")
     assert views[1] == " " * len("still comment")
     assert views[2].endswith(" end();")
 
 
 def test_directive_blanked_with_continuation() -> None:
-    views = code_views(["#define CALL(x) \\", "    memset(x, 0, 1)", "memset(y, 0, 1);"])
+    views = code_text("#define CALL(x) \\\n    memset(x, 0, 1)\nmemset(y, 0, 1);").split("\n")
     assert views[0].strip() == ""
     assert views[1].strip() == ""
     assert "memset" in views[2]
@@ -53,9 +49,8 @@ def test_directive_blanked_with_continuation() -> None:
 
 def test_unterminated_literal_closes_at_eol() -> None:
     # decompilers sometimes emit broken lines; the scanner must not leak state
-    view, state = code_view('s = "unterminated')
-    assert view == "s = " + " " * len('"unterminated')
-    assert state == START_STATE
+    view = code_text('s = "unterminated' + NEXT)
+    assert view == "s = " + " " * len('"unterminated') + NEXT
 
 
 def test_find_call_sites_basic() -> None:
@@ -119,8 +114,18 @@ def test_depth_tracks_across_lines_and_same_line_braces() -> None:
     assert [s.line for s in sites] == [0, 4]
 
 
+class ScanState(NamedTuple):
+    """What the per-character lexer carries from one line into the next."""
+
+    in_comment: bool = False
+    in_directive: bool = False
+
+
+START_STATE = ScanState()
+
+
 def oracle_code_view(line: str, state: ScanState = START_STATE) -> tuple[str, ScanState]:
-    """The per-character lexer that `code_view` replaced, kept as its reference."""
+    """The per-character lexer of one line, kept as the reference for `code_text`."""
     if state.in_directive or (not state.in_comment and line.lstrip().startswith("#")):
         continued = line.endswith("\\")
         return " " * len(line), ScanState(in_comment=False, in_directive=continued)
@@ -160,46 +165,48 @@ def oracle_code_view(line: str, state: ScanState = START_STATE) -> tuple[str, Sc
     return "".join(out), ScanState(in_comment=(mode == "comment"), in_directive=False)
 
 
+def oracle_code_text(text: str) -> str:
+    """`oracle_code_view` carried line by line over the lines of `text`."""
+    state = START_STATE
+    views = []
+    for line in text.split("\n"):
+        view, state = oracle_code_view(line, state)
+        views.append(view)
+    return "\n".join(views)
+
+
 # Pieces of pseudo-C that steer the lexer: every character that opens or
 # closes a lexeme, escapes, the whitespace `str.lstrip` removes before a
-# directive's `#` (form feed, \x1c, no-break space), a CR, an LF (a
-# record's line may hold one), a lone surrogate from surrogateescape,
-# and the lexemes that overlap.
-PIECES = list("\"'\\/*#a {}(\t\x0c\x1c\xa0\r\n\udcff") + [
+# directive's `#` (form feed, \x1c, no-break space), a CR, an LF that
+# ends a line, a lone surrogate from surrogateescape, the lexemes that
+# overlap, and characters whose lowercase form is longer (U+0130) or
+# ASCII (U+212A, the Kelvin sign; U+017F, the long s).
+PIECES = list("\"'\\/*#a {}(\t\x0c\x1c\xa0\r\n\udcff\u0130\u212a\u017f") + [
     "/*/", "/**/", "*/", "->", "//", " #", "\\\"", "\\'", "x(",
 ]
-LINES = st.lists(st.sampled_from(PIECES), max_size=16).map("".join)
-STATES = st.builds(ScanState, st.booleans(), st.booleans())
+TEXTS = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
 
-@settings(max_examples=1000, deadline=None)
-@given(LINES, STATES)
-@example('s = "a\\', START_STATE)  # trailing escape inside a literal
-@example("/*/ x", START_STATE)  # `/*/` does not close
-@example("a */ b /* c", ScanState(in_comment=True))
-@example("\t# x \\", START_STATE)  # a directive after whitespace, continued
-@example("\x1c#", ScanState(in_comment=True))
-def test_code_view_matches_character_loop(line, state) -> None:
-    assert code_view(line, state) == oracle_code_view(line, state)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(LINES, max_size=8))
-def test_code_views_carry_state_like_character_loop(lines) -> None:
-    state = START_STATE
-    expected = []
-    for line in lines:
-        view, state = oracle_code_view(line, state)
-        expected.append(view)
-    assert code_views(lines) == expected
+@settings(max_examples=1500, deadline=None)
+@given(TEXTS)
+@example('s = "a\\\nx')  # trailing escape inside a literal
+@example("/*/ x\ny */ z")  # `/*/` does not close
+@example("/*\na */ b /* c\nd")
+@example("\t# x \\\n/* y\nz")  # a directive after whitespace, continued past a `/*`
+@example("/*\n\x1c#\nx")  # no directive inside a comment
+def test_code_view_matches_character_loop(text) -> None:
+    assert code_text(text) == oracle_code_text(text)
 
 
 def oracle_find_call_sites(lines, names) -> list[CallSite]:
     """The loop that matched every identifier of every line, kept as the
-    reference for `find_call_sites`, which skips lines that hold no name."""
+    reference for `find_call_sites`, which skips lines that hold no name.
+    It lexes with the per-character lexer."""
     sites = []
     depth = 0
-    for lineno, view in enumerate(code_views(lines)):
+    state = START_STATE
+    for lineno, line in enumerate(lines):
+        view, state = oracle_code_view(line, state)
         for match in IDENT_RE.finditer(view):
             if match.group(0).lower() not in names:
                 continue
@@ -218,7 +225,7 @@ def oracle_find_call_sites(lines, names) -> list[CallSite]:
 
 # names that hold one another, in mixed case, a name that is no lowercase
 # identifier, and characters whose lowercase form is longer (U+0130) or ASCII
-# (U+212A, the Kelvin sign): `find_call_sites` searches lowercased lines
+# (U+212A, the Kelvin sign): `find_call_sites` searches the lowercased text
 NAMES = ["memset", "mem", "set", "memsetx", "x", "Free", "k", "é"]
 CALL_PIECES = [*NAMES, "MEMSET", "MemSet", "FREE", "free", "İ", "K", "K", "_",
                "1", " ", "(", ")", "{", "}", ".", "->", ";", "\t", '"', "'", "//", "/*",
@@ -232,6 +239,7 @@ CALL_LINES = st.lists(st.sampled_from(CALL_PIECES), max_size=14).map("".join)
 @example(lines=["{", 'memset("memset(") /* memset( */ x.memset(); MEMSET (', "}"],
          names={"memset", "set"})
 @example(lines=["{ İmemset(", "K(", "k("], names={"memset", "k"})
+@example(lines=["{İİİk(", "x"], names={"k"})  # lowered, the call would stand on the next line
 @example(lines=["{", "free(", "Free("], names={"Free"})
 def test_find_call_sites_matches_every_line_loop(lines, names) -> None:
     names = frozenset(names)

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from uninline import markers
 
 from uninline.corpus import (
     DecompiledFunction,
@@ -155,6 +160,35 @@ def test_extract_skips_malformed_payload(caplog) -> None:
 def test_extract_lowercases_names() -> None:
     body = _body(['s = "FUNCMARK:EnterCriticalSection";'])
     assert extract_markers(body)[0].name == "entercriticalsection"
+
+
+def oracle_extract_markers(body: DecompiledFunction) -> tuple[list, list]:
+    """The line-by-line search that `extract_markers` replaced, kept as its
+    reference: the markers it finds and the (id, line) of each malformed one."""
+    found, malformed = [], []
+    for lineno, line in enumerate(body.lines):
+        for match in markers._PAYLOAD_RE.finditer(line):
+            if match.group(1) is None:
+                malformed.append((body.id, lineno))
+            else:
+                found.append(RecoveredMarker(match.group(1).lower(), lineno))
+    return found, malformed
+
+
+MARKER_PIECES = ["FUNCMARK:", "FUNCMARK:memset", "FUNCMARK:Sprintf_2", "FUNCMARK", ":", "M",
+                 "_", "9", " ", '"', "\n", "\n\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(MARKER_PIECES), max_size=20).map("".join))
+@example("\nFUNCMARK:\nx FUNCMARK:a FUNCMARK:\n\nFUNCMARK:B")
+def test_extract_markers_matches_line_by_line_search(text) -> None:
+    body = DecompiledFunction.from_text(FunctionId("dec.c", "f", 0), text)
+    with mock.patch.object(markers.log, "warning") as warning:
+        found = extract_markers(body)
+    expected, malformed = oracle_extract_markers(body)
+    assert found == expected
+    assert [call.args[1:] for call in warning.call_args_list] == malformed
 
 
 def test_reconcile_removes_earliest_first() -> None:
