@@ -30,8 +30,8 @@ from typing import NamedTuple, Sequence
 
 from . import __version__
 from . import bpe, classify, coalesce, combine, corpus, evaluate, markers, windows
-from .jsonl import (NUMBER, STRING, Kind, append_jsonl, atomic_write, field, read_records,
-                    write_jsonl)
+from .jsonl import (NUMBER, STRING, Kind, append_jsonl, atomic_write, distinct_outputs, field,
+                    read_records, write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -64,20 +64,6 @@ def _digests(inputs: Sequence[str | Path]) -> dict[str, str]:
     return {str(p): _digest(p) for p in inputs}
 
 
-def _distinct(outputs: Sequence[tuple[str, str | Path | None]]) -> None:
-    """Refuse, before a stage writes, two outputs that resolve to one real path.
-
-    Each output comes with what named it; an output not asked for is None.
-    """
-    named: dict[str, str] = {}  # real path -> what named it first
-    for name, path in outputs:
-        if path is not None:
-            real = os.path.realpath(path)
-            if real in named:
-                raise ValueError(f"{named[real]} and {name} would both write {path}")
-            named[real] = name
-
-
 def _record_run(command: str, args: argparse.Namespace, inputs: dict[str, str],
                 outputs: Sequence[str | Path], seeds: dict | None = None) -> None:
     parameters = {
@@ -108,7 +94,7 @@ def _cmd_inject(args) -> int:
         plan_path = out_path.with_name(out_path.name.replace(".marked.c", ".markplan.json"))
         written.append((src_path, out_path, plan_path))
     outputs = [(src, path) for src, *paths in written for path in paths]
-    _distinct(outputs)
+    distinct_outputs(outputs)
     inputs = _digests([args.targets, *args.sources])
     targets = corpus.load_targets(args.targets)
     for src_path, out_path, plan_path in written:
@@ -157,8 +143,8 @@ def _cmd_reconcile(args) -> int:
     Each body's id and label names are kept for `--truth-out` and
     `--recovered-out`, which are written last.
     """
-    _distinct([("--out", args.out), ("--truth-out", args.truth_out),
-               ("--recovered-out", args.recovered_out)])
+    distinct_outputs([("--out", args.out), ("--truth-out", args.truth_out),
+                      ("--recovered-out", args.recovered_out)])
     inputs = _digests([args.functions, args.targets])
     targets = corpus.load_targets(args.targets)
     kept = []  # (id, residual marker names, recovered call names) of each labeled body
@@ -333,7 +319,7 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _distinct([("--report", args.report), ("--per-name-out", args.per_name_out)])
+    distinct_outputs([("--report", args.report), ("--per-name-out", args.per_name_out)])
     inputs = _digests([args.pred, args.truth])
     pred = combine.read_recoveries(args.pred)
     truth = combine.read_recoveries(args.truth)

@@ -243,6 +243,20 @@ def _replacing(path: str | Path, mode: str):
     os.replace(tmp, path)
 
 
+def distinct_outputs(outputs: Iterable[tuple[str, str | Path | None]]) -> None:
+    """Refuse, before a stage writes, two outputs that resolve to one real path.
+
+    Each output comes with what named it; an output not asked for is None.
+    """
+    named: dict[str, str] = {}  # real path -> what named it first
+    for name, path in outputs:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValueError(f"{named[real]} and {name} would both write {path}")
+            named[real] = name
+
+
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write utf-8 text or raw bytes to `path` through a tmp file and a rename."""
     with _replacing(path, "wb" if isinstance(data, bytes) else "w") as fh:
