@@ -198,6 +198,24 @@ def test_code_view_matches_character_loop(text) -> None:
     assert code_text(text) == oracle_code_text(text)
 
 
+# One line of a file: the pieces above without the LF that ends a line.
+LINES = st.lists(st.sampled_from([p for p in PIECES if "\n" not in p]), max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LINES, max_size=8))
+def test_code_views_carry_state_like_character_loop(lines) -> None:
+    """Lexing a file's lines as one text carries an open comment or a
+    continued directive from a line to the next, as the per-character
+    loop does when handed each line with the state the last one left."""
+    state = START_STATE
+    expected = []
+    for line in lines:
+        view, state = oracle_code_view(line, state)
+        expected.append(view)
+    assert code_text("\n".join(lines)).split("\n") == (expected or [""])
+
+
 def oracle_find_call_sites(lines, names) -> list[CallSite]:
     """The loop that matched every identifier of every line, kept as the
     reference for `find_call_sites`, which skips lines that hold no name.
